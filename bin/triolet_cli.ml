@@ -266,27 +266,16 @@ let faults_cmd =
     let module Kern = Triolet_kernels.Kernel in
     let module Table = Triolet_harness.Table in
     let crash_node = min 1 (nodes - 1) in
-    (* Retry timeouts sized for the transport: the in-process mailbox
-       turns messages around in microseconds, a forked node takes real
-       scheduling and pipe latency, so the process backend gets a much
-       larger base timeout to keep delayed frames from triggering retry
-       storms. *)
-    let base_timeout, max_timeout =
-      match backend with
-      | Cluster.Process -> (Some 0.1, Some 1.0)
-      | Cluster.Inprocess | Cluster.Flat -> (None, None)
-    in
-    let spec = Fault.spec ?base_timeout ?max_timeout in
     let scenarios =
       [
-        ("drop+corrupt", spec ~seed ~drop:rate ~corrupt:rate ());
-        ("dup+delay", spec ~seed ~duplicate:rate ~delay:rate ());
+        ("drop+corrupt", Fault.spec ~seed ~drop:rate ~corrupt:rate ());
+        ("dup+delay", Fault.spec ~seed ~duplicate:rate ~delay:rate ());
         ( "crash-before",
-          spec ~seed ~crash:(crash_node, Fault.Before_work) () );
+          Fault.spec ~seed ~crash:(crash_node, Fault.Before_work) () );
         ( "crash-during",
-          spec ~seed ~crash:(crash_node, Fault.During_work) () );
+          Fault.spec ~seed ~crash:(crash_node, Fault.During_work) () );
         ( "everything",
-          spec ~seed ~drop:rate ~duplicate:rate ~corrupt:rate ~delay:rate
+          Fault.spec ~seed ~drop:rate ~duplicate:rate ~corrupt:rate ~delay:rate
             ~crash:(crash_node, Fault.After_work)
             ~stragglers:[ 0 ] () );
       ]
@@ -371,18 +360,12 @@ let demo_cmd =
          ~backend:(if flat then Cluster.Flat else backend)
          ());
     if faults then begin
-      let base_timeout, max_timeout =
-        match backend with
-        | Cluster.Process -> (Some 0.1, Some 1.0)
-        | Cluster.Inprocess | Cluster.Flat -> (None, None)
-      in
       Triolet.Exec.set_ambient
         (Triolet.Exec.make
            ~faults:
              (Some
-                (Fault.spec ?base_timeout ?max_timeout ~seed:fault_seed
-              ~drop:fault_rate ~duplicate:fault_rate ~corrupt:fault_rate
-              ~delay:fault_rate
+                (Fault.spec ~seed:fault_seed ~drop:fault_rate
+                   ~duplicate:fault_rate ~corrupt:fault_rate ~delay:fault_rate
                    ~crash:(min 1 (nodes - 1), Fault.During_work)
                    ()))
            ())
@@ -428,7 +411,7 @@ let demo_cmd =
         Obs.disable ();
         Obs.write_trace path;
         Format.printf "%a" Obs.pp_aggregates (Obs.aggregates ());
-        (* The cluster phases partition Cluster.run end to end, so
+        (* The cluster phases partition Cluster.run_topology end to end, so
            their totals should account for nearly all of the wall time
            of a distributed run. *)
         let cluster_phases =

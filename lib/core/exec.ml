@@ -34,7 +34,7 @@ type t = {
           service; [None] means no deadline *)
   queue_bound : int;  (** service admission-queue high-water mark *)
   poll_interval : float;
-      (** process-backend drain / service event-loop poll, seconds *)
+      (** service event-loop poll, seconds *)
 }
 
 (* The backend can be selected from outside via TRIOLET_BACKEND

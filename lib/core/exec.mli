@@ -25,8 +25,7 @@ type t = {
       (** service admission-queue high-water mark; requests beyond it
           are rejected [Overloaded] instead of queueing unboundedly *)
   poll_interval : float;
-      (** process-backend drain / service event-loop poll in seconds
-          (clamped to the fault spec's base timeout where one applies) *)
+      (** service event-loop poll in seconds *)
 }
 
 val default : unit -> t

@@ -101,8 +101,7 @@ let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
       let blocks = Partition.blocks ~parts:workers len in
       let nblocks = Array.length blocks in
       let result, _report =
-        Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults
-          ~poll_interval:ctx.Exec.poll_interval topo
+        Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults topo
           ~scatter:(fun node ->
             if node < nblocks then
               let off, n = blocks.(node) in
@@ -145,8 +144,7 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
       in
       let results = ref [] in
       let (), _report =
-        Cluster.run_topology ?pool ?faults:ctx.Exec.faults
-          ~poll_interval:ctx.Exec.poll_interval topo
+        Cluster.run_topology ?pool ?faults:ctx.Exec.faults topo
           ~scatter:(fun node -> payload_of blocks.(node))
           ~work:(fun ~node ~pool payload -> (node, node_work ~pool payload))
           ~result_codec:(Codec.pair Codec.int result_codec)

@@ -8,9 +8,9 @@
     is counted.
 
     Which transport carries the bytes is the {!backend} of the
-    {!topology}: in-process mailbox channels (the simulation the paper's
+    {!topology}: in-process byte queues (the simulation the paper's
     MPI ranks reduce to in one address space), Eden-style flat workers
-    over the same channels, or genuinely separate OS processes over
+    over the same queues, or genuinely separate OS processes over
     socketpairs ({!Process}), where the no-shared-memory guarantee is
     enforced by the kernel rather than asserted by convention.
 
@@ -21,9 +21,9 @@
 
 (** Where and how nodes execute and exchange bytes. *)
 type backend =
-  | Inprocess  (** in-process nodes over mailbox channels *)
+  | Inprocess  (** in-process nodes over byte queues *)
   | Flat
-      (** Eden's flat process view over mailbox channels: one
+      (** Eden's flat process view over byte queues: one
           single-threaded worker per core, no shared memory within a
           node *)
   | Process
@@ -49,41 +49,23 @@ val topology_workers : topology -> int
 (** Logical workers a run fans out to: [nodes * cores_per_node] under
     {!Flat}, [nodes] otherwise. *)
 
-type config = {
-  nodes : int;
-  cores_per_node : int;
-  flat : bool;
-      (** [true] models Eden's flat process view: one single-threaded
-          process per core and no shared memory within a node *)
-}
-(** Legacy shape, kept for existing callers; the [flat] boolean is
-    subsumed by {!backend}. *)
-
-val default_config : config
-
-val topology_of_config : config -> topology
-(** [flat = true] maps to {!Flat}, otherwise {!Inprocess} — never
-    {!Process}, so legacy entry points stay deterministic regardless of
-    environment. *)
-
-val config_of_topology : topology -> config
-(** Forgets the transport: [flat] is [backend = Flat]. *)
-
 type report = {
   scatter_bytes : int;
   gather_bytes : int;
   scatter_messages : int;
   gather_messages : int;
   max_message_bytes : int;
-  retries : int;  (** task re-issues after a receive timeout *)
+  retries : int;  (** task re-issues at the end of a round *)
   redeliveries : int;  (** duplicate/late replies discarded by dedup *)
   corrupt_drops : int;  (** messages rejected by checksum/decode *)
-  crashed_nodes : int;  (** injected node crashes survived *)
+  crashed_nodes : int;  (** node deaths survived *)
   faults_injected : int;  (** total faults the injector fired *)
-  recovery_ns : int;  (** wall time spent in timeout/retry recovery *)
+  recovery_ns : int;  (** wall time from the first retry round to the end *)
 }
-(** Fault-free runs leave the last six fields zero, and the first five
-    are computed exactly as before. *)
+(** Bytes count each message's slice or result encoding only: the frame
+    header and the [(worker, seq)] envelope, with its CRC under a fault
+    plan, are framing.  A fault-free run leaves the last six fields
+    zero. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Prints the byte/message accounting; fault statistics are appended
@@ -93,10 +75,10 @@ exception Recovery_exhausted of { worker : int; attempts : int }
 (** A worker's result could never be obtained within the fault plan's
     attempt budget (or no surviving node remains). *)
 
+
 val run_topology :
   ?pool:Pool.t ->
   ?faults:Fault.spec ->
-  ?poll_interval:float ->
   topology ->
   scatter:(int -> Triolet_base.Payload.t) ->
   work:(node:int -> pool:Pool.t -> Triolet_base.Payload.t -> 'r) ->
@@ -104,77 +86,62 @@ val run_topology :
   merge:('a -> 'r -> 'a) ->
   init:'a ->
   'a * report
-(** Like {!run}, but the transport comes from the topology instead of
-    being hard-coded.  Semantics per backend:
+(** [run_topology topo ~scatter ~work ~result_codec ~merge ~init]:
 
-    - {!Inprocess} / {!Flat}: exactly the historical behaviour —
-      in-process nodes over mailboxes, [?pool] (default {!Pool.default})
-      providing intra-node parallelism.
-    - {!Process}: forks one OS process per node before doing anything
-      else, ships each [scatter w] as bytes over a socketpair, and
-      gathers replies per-child in worker order.  The task closure
-      crosses the [fork] by address-space inheritance; data crosses only
-      the socket.  [?pool] is ignored — each child lazily builds its own
-      [cores_per_node]-wide pool.  Fails fast (with an explanatory
-      [Failure]) if a domain was ever spawned in this process, since
-      OCaml then forbids [fork].  On the fault path the envelope /
-      retry / recovery protocol is the mailbox one, with link faults
-      injected parent-side from the same seeded stream and crashes
-      realized as real child exits; a child killed externally (EOF on
-      its channel) is recovered exactly like an injected crash.  On the
-      clean path, byte and message accounting (payload bytes; frame
-      headers excluded) matches the in-process backend exactly.
-
-    [?poll_interval] (default [0.01] s, must be positive) is the
-    process backend's late-traffic drain poll; it is clamped to the
-    fault spec's [base_timeout] so the drain can never outwait a retry
-    round.  Sourced from {!Exec.t}[.poll_interval] by the skeleton
-    layer. *)
-
-val on_node : unit -> int option
-(** Inside a process-backend child: the id of the node this process
-    is.  [None] in the parent and under in-process backends (where
-    task code can instead trust [work]'s [~node] argument). *)
-
-val note_current_node : int -> unit
-(** Record this process's node id for {!on_node} — called by child
-    serve loops ({!Service} forks its own, outside this module). *)
-
-val run :
-  ?pool:Pool.t ->
-  ?faults:Fault.spec ->
-  config ->
-  scatter:(int -> Triolet_base.Payload.t) ->
-  work:(node:int -> pool:Pool.t -> Triolet_base.Payload.t -> 'r) ->
-  result_codec:'r Triolet_base.Codec.t ->
-  merge:('a -> 'r -> 'a) ->
-  init:'a ->
-  'a * report
-(** [run cfg ~scatter ~work ~result_codec ~merge ~init]:
-
-    - [scatter w] builds worker [w]'s input payload; it is serialized
-      and delivered through the worker's mailbox;
+    - [scatter w] builds worker [w]'s input payload, once; it is
+      serialized and shipped to the worker's node;
     - [work ~node ~pool payload] runs against the decoded payload,
-      using [pool] for intra-node parallelism (a 1-wide pool in flat
-      mode);
+      using [pool] for intra-node parallelism; [~node] is always the
+      logical worker id whose slice it computes, even when recovery
+      runs that slice on another node;
     - each worker's result is serialized with [result_codec], shipped
       back and decoded; replies are stored per worker id and folded
       with [merge] strictly in worker order (worker 0 first), never in
       arrival order, so [merge] need not be commutative.
 
-    In flat mode there are [nodes * cores_per_node] single-threaded
-    workers; otherwise one worker per node.
+    Both backends run one engine.  Every message is a [(worker, seq)]
+    envelope around the slice or result; [?faults] adds a CRC to it and
+    injects the plan's faults at the parent's edge of each link.  The
+    call proceeds in rounds: a round reads every answer it is owed
+    (reply, failure report, refusal, or node death) before it ends, so
+    no wait is ever timed and a seed fixes the whole fault schedule and
+    report on either backend.  At a round's end each unresolved worker
+    is re-issued to its node, or to the first surviving node.  Without
+    [?faults] the plan injects nothing and allows one attempt: one
+    scatter and one reply per worker, no CRC work, and a node failure
+    is an error rather than a retry.
 
-    With [?faults] (a deterministic, seeded fault plan) every message
-    travels in a CRC-checksummed envelope tagged with the worker id and
-    an attempt sequence number; lost, corrupt or late replies are
-    recovered by capped-exponential-backoff retry, re-executing a
-    crashed node's slice on a surviving node, and merging at most once
-    per worker.  [work] must then be re-executable (pure in its
-    payload); its [~node] argument is always the logical worker id
-    whose slice it computes, even when recovery runs that slice on a
-    different surviving node.  Raises {!Recovery_exhausted} if a worker stays
-    unresolved after [max_attempts] tries, and re-raises the [work]
-    exception if that is what kept failing.  Without [?faults],
-    results, wire bytes and the report are identical to the fault-free
-    runtime. *)
+    Raises {!Recovery_exhausted} if a worker stays unresolved once its
+    attempts are spent or no node survives, and re-raises the [work]
+    exception if that is what kept failing (under {!Process} as a
+    [Failure] carrying its text).  Raises [Invalid_argument
+    "Cluster.run: bad config"] on a non-positive node or core count.
+
+    - {!Inprocess} / {!Flat}: nodes are per-node byte queues whose
+      frames run inline on [?pool] (default {!Pool.default}).
+    - {!Process}: forks one OS process per node before building any
+      slice and ships frames over socketpairs; the task closure crosses
+      the [fork] by address-space inheritance, data only the socket.
+      [?pool] is ignored — each child lazily builds its own
+      [cores_per_node]-wide pool.  Fails fast (with an explanatory
+      [Failure]) if a domain was ever spawned in this process, since
+      OCaml then forbids [fork].  A planned crash is a real child exit
+      and a child killed from outside is recovered the same way. *)
+
+val on_node : unit -> int option
+(** Inside a forked child: the id of the node this process is.  [None]
+    in the parent and under in-process backends (where task code can
+    instead trust [work]'s [~node] argument). *)
+
+val serve :
+  ?tag:string ->
+  id:int ->
+  Transport.Socket.t ->
+  (Transport.kind -> Bytes.t -> unit) ->
+  unit
+(** [serve ~id chan handle] is the child serve loop every forked
+    runtime runs: it records [id] for {!on_node}, reads frames until
+    EOF while replaying them on a {!Protocol} child tracker (named
+    [tag ^ string_of_int id]), answers [Ping] with [Pong], drops
+    [Err]/[Nack]/[Pong], and passes [Data] and segment frames to
+    [handle], which replies on [chan] itself. *)

@@ -1,6 +1,6 @@
 (** Persistent distributed arrays: segments resident across calls.
 
-    {!Cluster.run} re-ships every slice on every call, so an iterative
+    {!Cluster.run_topology} re-ships every slice on every call, so an iterative
     kernel (multi-round tpacf, repeated sgemm) pays full scatter
     traffic each round even when most of its input never changes.  A
     [Darray] separates data distribution from work distribution (paper,
@@ -129,77 +129,59 @@ type session = {
    respawned incarnation starts with an empty table — exactly the state
    the parent's cleared beliefs assume. *)
 let serve ~work ~id chan =
-  Cluster.note_current_node id;
-  let trk =
-    Protocol.make_tracker Protocol.Child ~id:("darray-" ^ string_of_int id)
-  in
   let table : (int * int, int * Payload.t) Hashtbl.t = Hashtbl.create 16 in
   let nack key =
     Transport.Socket.send chan ~kind:Transport.Nack
       (Codec.to_bytes nack_codec key)
   in
-  let rec loop () =
-    match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | (kind, _) as frame ->
-        Protocol.step trk (Protocol.Recv kind);
-        handle frame
-  and handle = function
-    | Transport.Ping, payload ->
-        Transport.Socket.send chan ~kind:Transport.Pong payload;
-        loop ()
-    | (Transport.Err | Transport.Nack | Transport.Pong), _ -> loop ()
-    | Transport.Seg_put, bytes ->
-        (match Codec.of_bytes put_codec bytes with
-        | exception _ -> nack nack_task
-        | (did, seg, ver), payload -> Hashtbl.replace table (did, seg) (ver, payload));
-        loop ()
-    | Transport.Seg_reuse, bytes ->
-        (match Codec.of_bytes reuse_codec bytes with
-        | exception _ -> nack nack_task
-        | (did, seg, ver) as key -> (
-            match Hashtbl.find_opt table (did, seg) with
-            | Some (v, _) when v = ver -> ()
-            | _ ->
-                (* Not resident, or resident at another version: refuse
-                   loudly so the parent replays the put. *)
-                nack key));
-        loop ()
-    | Transport.Seg_free, bytes ->
-        (match Codec.of_bytes free_codec bytes with
-        | exception _ -> ()
-        | did ->
-            Hashtbl.filter_map_inplace
-              (fun (d, _) v -> if d = did then None else Some v)
-              table);
-        loop ()
-    | Transport.Data, bytes ->
-        (match Codec.of_bytes task_codec bytes with
-        | exception _ -> nack nack_task
-        | seq, keys, arg -> (
-            (* Re-check every expected key before computing: a task that
-               names a version this table does not hold must be refused,
-               never computed against stale bytes. *)
-            let rec collect acc = function
-              | [] -> Ok (List.concat (List.rev acc))
-              | (did, seg, ver) :: rest -> (
-                  match Hashtbl.find_opt table (did, seg) with
-                  | Some (v, payload) when v = ver -> collect (payload :: acc) rest
-                  | _ -> Error (did, seg, ver))
-            in
-            match collect [] keys with
-            | Error key -> nack key
-            | Ok resident -> (
-                match work ~node:id ~resident ~arg with
-                | r ->
-                    Transport.Socket.send chan
-                      (Codec.to_bytes reply_codec (seq, r))
-                | exception e ->
-                    Transport.Socket.send chan ~kind:Transport.Err
-                      (Codec.to_bytes err_codec (seq, Printexc.to_string e)))));
-        loop ()
-  in
-  loop ()
+  Cluster.serve ~tag:"darray-" ~id chan (fun kind bytes ->
+      match kind with
+      | Transport.Seg_put -> (
+          match Codec.of_bytes put_codec bytes with
+          | exception _ -> nack nack_task
+          | (did, seg, ver), payload -> Hashtbl.replace table (did, seg) (ver, payload))
+      | Transport.Seg_reuse -> (
+          match Codec.of_bytes reuse_codec bytes with
+          | exception _ -> nack nack_task
+          | (did, seg, ver) as key -> (
+              match Hashtbl.find_opt table (did, seg) with
+              | Some (v, _) when v = ver -> ()
+              | _ ->
+                  (* Not resident, or resident at another version: refuse
+                     loudly so the parent replays the put. *)
+                  nack key))
+      | Transport.Seg_free -> (
+          match Codec.of_bytes free_codec bytes with
+          | exception _ -> ()
+          | did ->
+              Hashtbl.filter_map_inplace
+                (fun (d, _) v -> if d = did then None else Some v)
+                table)
+      | _ -> (
+          (* a [Data] frame: one task *)
+          match Codec.of_bytes task_codec bytes with
+          | exception _ -> nack nack_task
+          | seq, keys, arg -> (
+              (* Re-check every expected key before computing: a task that
+                 names a version this table does not hold must be refused,
+                 never computed against stale bytes. *)
+              let rec collect acc = function
+                | [] -> Ok (List.concat (List.rev acc))
+                | (did, seg, ver) :: rest -> (
+                    match Hashtbl.find_opt table (did, seg) with
+                    | Some (v, payload) when v = ver -> collect (payload :: acc) rest
+                    | _ -> Error (did, seg, ver))
+              in
+              match collect [] keys with
+              | Error key -> nack key
+              | Ok resident -> (
+                  match work ~node:id ~resident ~arg with
+                  | r ->
+                      Transport.Socket.send chan
+                        (Codec.to_bytes reply_codec (seq, r))
+                  | exception e ->
+                      Transport.Socket.send chan ~kind:Transport.Err
+                        (Codec.to_bytes err_codec (seq, Printexc.to_string e))))))
 
 let create_session ?(topology = Cluster.default_topology) ?hb_interval
     ?miss_threshold ?backoff_base ?backoff_max ~work () =

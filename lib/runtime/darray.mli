@@ -1,6 +1,6 @@
 (** Persistent distributed arrays: segments resident across calls.
 
-    Where {!Cluster.run} re-ships every slice on every call, a
+    Where {!Cluster.run_topology} re-ships every slice on every call, a
     [Darray]'s segments are installed once in warm per-node children
     (real forked processes under the [Process] backend, parent-held
     tables otherwise) and stay resident; later runs ship only key-sized

@@ -5,21 +5,21 @@
     runtime lacks.  This module injects those failures *on purpose and
     reproducibly*: every decision (drop this message?  flip which bit?)
     is drawn from a splitmix64 stream seeded by the plan, and the
-    cluster protocol is single-threaded, so a given seed yields the
-    exact same fault schedule — and therefore the same retries,
-    redeliveries and recovery path — on every run.
+    cluster engine draws in an order that does not depend on timing,
+    so a given seed yields the exact same fault schedule — and
+    therefore the same retries, redeliveries and recovery path — on
+    every run.
 
-    Faults are applied at the mailbox boundary, per *link* (main to a
+    Faults are applied at the parent's edge of each *link* (main to a
     node, or a node back to main):
 
-    - {b drop}: the message is never enqueued;
+    - {b drop}: the message is never delivered;
     - {b corrupt}: one byte is XORed with a nonzero mask before
       delivery, which the checksummed envelope must catch;
-    - {b duplicate}: the message is enqueued twice, which at-most-once
+    - {b duplicate}: the message is delivered twice, which at-most-once
       reply dedup must absorb;
-    - {b delay}: the message is parked ({!Mailbox.send_delayed}) and
-      becomes visible only after the receiver times out — a straggler
-      whose reply crosses the retry on the wire.
+    - {b delay}: the message is held until the receiver's round ends —
+      a straggler whose reply crosses the retry on the wire.
 
     Node-level faults: one node may crash permanently (before, during
     or after its [work]), and designated straggler nodes have their
@@ -54,8 +54,6 @@ type spec = {
       (** node that crashes permanently, and when *)
   stragglers : int list;  (** nodes whose first reply is delayed *)
   max_attempts : int;  (** per-worker cap on (re-)execution attempts *)
-  base_timeout : float;  (** seconds; first gather/node receive timeout *)
-  max_timeout : float;  (** cap for the exponential backoff *)
   heartbeat_loss : float;
       (** P(a child's pong never reaches the supervisor) — exercises
           the missed-heartbeat death verdict on live children *)
@@ -65,8 +63,7 @@ type spec = {
 }
 
 let spec ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(delay = 0.0)
-    ?faults_of ?crash ?(stragglers = []) ?(max_attempts = 8)
-    ?(base_timeout = 0.005) ?(max_timeout = 0.1) ?(heartbeat_loss = 0.0)
+    ?faults_of ?crash ?(stragglers = []) ?(max_attempts = 8) ?(heartbeat_loss = 0.0)
     ?(crash_on_respawn = 0.0) ~seed () =
   check_prob "drop" drop;
   check_prob "duplicate" duplicate;
@@ -75,14 +72,12 @@ let spec ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(delay = 0.0)
   check_prob "heartbeat_loss" heartbeat_loss;
   check_prob "crash_on_respawn" crash_on_respawn;
   if max_attempts < 1 then invalid_arg "Fault.spec: max_attempts < 1";
-  if base_timeout <= 0.0 || max_timeout < base_timeout then
-    invalid_arg "Fault.spec: bad timeouts";
   let uniform = { drop; duplicate; corrupt; delay } in
   let faults_of =
     match faults_of with Some f -> f | None -> fun _ -> uniform
   in
-  { seed; faults_of; crash; stragglers; max_attempts; base_timeout;
-    max_timeout; heartbeat_loss; crash_on_respawn }
+  { seed; faults_of; crash; stragglers; max_attempts; heartbeat_loss;
+    crash_on_respawn }
 
 type counters = {
   drops : int;
@@ -132,45 +127,12 @@ let counters t =
   Mutex.unlock t.lock;
   c
 
-(* Exponential backoff, capped: 1x, 2x, 4x ... the base timeout. *)
-let timeout_for s ~attempt =
-  let a = max 0 (min attempt 30) in
-  Float.min s.max_timeout (s.base_timeout *. Float.of_int (1 lsl a))
-
 let ensure_node t node =
   if node >= Array.length t.crashed then begin
     let n = Array.make (node + 1) false in
     Array.blit t.crashed 0 n 0 (Array.length t.crashed);
     t.crashed <- n
   end
-
-let is_crashed t node =
-  Mutex.lock t.lock;
-  let v = node < Array.length t.crashed && t.crashed.(node) in
-  Mutex.unlock t.lock;
-  v
-
-(** [crash_now t ~node ~phase] fires the planned crash the first time
-    execution of [node] reaches [phase]; once fired the node stays dead
-    ({!is_crashed}) and work for its slice must be re-executed on a
-    surviving node. *)
-let crash_now t ~node ~phase =
-  match t.s.crash with
-  | Some (n, p) when n = node && p = phase ->
-      Mutex.lock t.lock;
-      ensure_node t node;
-      let fresh = not t.crashed.(node) in
-      if fresh then begin
-        t.crashed.(node) <- true;
-        t.counters <- { t.counters with crashes = t.counters.crashes + 1 }
-      end;
-      Mutex.unlock t.lock;
-      if fresh then begin
-        Stats.record_crash ();
-        Stats.record_fault ()
-      end;
-      fresh
-  | _ -> false
 
 (* One Bernoulli draw.  Zero-rate faults skip the draw; determinism is
    unaffected because the plan itself fixes which rates are zero. *)
@@ -206,9 +168,9 @@ let straggle_now t link =
     stream without touching any channel: [`Drop], or
     [`Deliver (bytes', delayed, duplicated)] where [bytes'] may have one
     byte flipped.  The draw order (drop, corrupt, delay, duplicate) is
-    the wire contract every transport shares — both the mailbox and the
-    socket backends route their traffic through this single function, so
-    a fault plan means the same thing on either.  Counted in
+    the wire contract every transport shares — the cluster engine
+    routes both backends' traffic through this single function, so a
+    fault plan means the same thing on either.  Counted in
     {!counters} and {!Stats}. *)
 let decide t ~link bytes =
   Mutex.lock t.lock;
@@ -238,22 +200,11 @@ let decide t ~link bytes =
   Mutex.unlock t.lock;
   decision
 
-(** [send t ~link mb bytes] delivers [bytes] through [mb], applying the
-    link's faults: possibly dropping, corrupting, delaying or
-    duplicating the message.  Counted in {!counters} and {!Stats}. *)
-let send t ~link mb bytes =
-  match decide t ~link bytes with
-  | `Drop -> ()
-  | `Deliver (bytes, delayed, dup) ->
-      if delayed then Mailbox.send_delayed mb bytes else Mailbox.send mb bytes;
-      if dup then Mailbox.send mb (Bytes.copy bytes)
-
-(** [mark_crashed t node] records that [node] died for a reason outside
-    the plan's crash schedule — the multi-process backend calls this
-    when it reads EOF from a child's channel (the child [_exit]ed on an
-    injected crash, or something external [kill]ed it).  Returns whether
-    the death was fresh; the node stays dead for {!is_crashed} routing
-    either way. *)
+(** [mark_crashed t node] records that [node] died — the cluster engine
+    calls this when a node stops answering for good (a planned crash,
+    an external [kill], an EOF), the service when a child's channel
+    reaches EOF.  Returns whether the death was fresh, so each node's
+    death is counted once. *)
 let mark_crashed t node =
   Mutex.lock t.lock;
   ensure_node t node;

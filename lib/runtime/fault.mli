@@ -2,9 +2,10 @@
 
     Every injected failure — message drop, duplication, corruption,
     delay, node crash, straggler — is drawn from a splitmix64 stream
-    seeded by the plan.  The cluster protocol is single-threaded, so a
-    fixed seed reproduces the exact fault schedule, and with it the
-    runtime's recovery behaviour, run after run. *)
+    seeded by the plan.  The cluster engine draws in an order that does
+    not depend on timing, so a fixed seed reproduces the exact fault
+    schedule, and with it the runtime's recovery behaviour, run after
+    run and on either backend. *)
 
 type crash_phase =
   | Before_work  (** node receives its payload but never computes *)
@@ -19,7 +20,7 @@ type link_faults = {
   drop : float;  (** P(message never delivered) *)
   duplicate : float;  (** P(message delivered twice) *)
   corrupt : float;  (** P(one byte flipped in transit) *)
-  delay : float;  (** P(delivery held past the receiver's timeout) *)
+  delay : float;  (** P(delivery held until the receiver's round ends) *)
 }
 
 val no_faults : link_faults
@@ -30,8 +31,6 @@ type spec = {
   crash : (int * crash_phase) option;
   stragglers : int list;  (** nodes whose first reply is delayed *)
   max_attempts : int;  (** per-worker cap on (re-)execution attempts *)
-  base_timeout : float;  (** seconds; first receive timeout *)
-  max_timeout : float;  (** backoff cap *)
   heartbeat_loss : float;  (** P(a child's pong is discarded in transit) *)
   crash_on_respawn : float;  (** P(a respawned child dies immediately) *)
 }
@@ -45,8 +44,6 @@ val spec :
   ?crash:int * crash_phase ->
   ?stragglers:int list ->
   ?max_attempts:int ->
-  ?base_timeout:float ->
-  ?max_timeout:float ->
   ?heartbeat_loss:float ->
   ?crash_on_respawn:float ->
   seed:int ->
@@ -56,9 +53,9 @@ val spec :
     uniform per-link rate (all default 0); [faults_of] overrides the
     rates per link.  [heartbeat_loss] and [crash_on_respawn] (both
     default 0) target the service fabric's supervision path — see
-    {!service_fault}.  Defaults: no crash, no stragglers, 8 attempts,
-    5 ms base timeout capped at 100 ms.  Raises [Invalid_argument] on
-    rates outside [0,1] or nonsensical limits. *)
+    {!service_fault}.  Defaults: no crash, no stragglers, 8 attempts.
+    Raises [Invalid_argument] on rates outside [0,1] or
+    [max_attempts < 1]. *)
 
 type t
 (** A live injector: the plan plus its seeded random stream, crash
@@ -82,10 +79,6 @@ val zero_counters : counters
 val counters : t -> counters
 val pp_counters : Format.formatter -> counters -> unit
 
-val timeout_for : spec -> attempt:int -> float
-(** Capped exponential backoff: the receive timeout to use on the given
-    retry round (0-based). *)
-
 val decide :
   t ->
   link:link ->
@@ -93,26 +86,15 @@ val decide :
   [ `Drop | `Deliver of Bytes.t * bool * bool ]
 (** Draw one message's fate from the seeded stream without touching any
     channel: [`Drop], or [`Deliver (bytes, delayed, duplicated)] where
-    [bytes] may have one byte flipped.  Every transport backend routes
-    its traffic through this single decision point, so a fault plan has
-    the same meaning over mailboxes and over sockets. *)
-
-val send : t -> link:link -> Mailbox.t -> Bytes.t -> unit
-(** Deliver a message through a mailbox, applying the link's faults
-    (drop / corrupt one byte / park as delayed / duplicate).
-    Equivalent to acting on {!decide}. *)
-
-val crash_now : t -> node:int -> phase:crash_phase -> bool
-(** True exactly once, when execution of the planned crash node first
-    reaches the planned phase; the node is then permanently dead. *)
+    [bytes] may have one byte flipped.  The cluster engine routes both
+    backends' traffic through this single decision point, so a fault
+    plan has the same meaning in process and over sockets. *)
 
 val mark_crashed : t -> int -> bool
-(** Record an *observed* (rather than planned) death of a node — the
-    multi-process backend calls this on reading EOF from a child's
-    channel, whether the child [_exit]ed on an injected crash or was
-    killed externally.  True if the death was fresh. *)
-
-val is_crashed : t -> int -> bool
+(** Record an observed death of a node — the cluster engine calls this
+    when a node stops answering for good (a planned crash, an external
+    kill, an EOF).  True if the death was fresh, so each death counts
+    once in {!counters}. *)
 
 type service_fault =
   | Heartbeat_loss

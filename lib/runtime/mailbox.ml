@@ -1,27 +1,15 @@
 (** Node mailboxes: FIFO queues of serialized messages.
 
-    All inter-node traffic in the cluster runtime flows through
-    mailboxes as opaque byte buffers — data crosses a node boundary only
-    in serialized form, as on a real network.  Every send is counted in
-    {!Stats}.
-
-    Two extensions support the fault-tolerant runtime: a mailbox can be
-    {!close}d (a poison state that wakes blocked receivers instead of
-    leaving them stuck on a dead peer), and messages can be parked as
-    *delayed* ({!send_delayed}) — invisible to receivers until a
-    {!recv_timeout} expires, which models a straggling link whose
-    message arrives only after the receiver has already given up
-    waiting.  Both recovery paths (timeout-driven retry and late
-    duplicate delivery) are therefore deterministic: delivery order
-    depends only on the sequence of sends and timeouts, not on wall
-    clocks. *)
+    Frames of the in-process transport ({!Transport.Mailbox_chan})
+    flow through mailboxes as opaque byte buffers — data crosses an
+    endpoint boundary only in serialized form, as on a real network.
+    Every send is counted in {!Stats}.  A mailbox can be {!close}d: a poison state that wakes
+    blocked receivers instead of leaving them stuck on a dead peer. *)
 
 exception Closed
 
 type t = {
   q : Bytes.t Queue.t;
-  delayed : Bytes.t Queue.t;
-      (* in-flight messages promoted to [q] when a receiver times out *)
   lock : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
@@ -32,7 +20,6 @@ type t = {
 let create () =
   {
     q = Queue.create ();
-    delayed = Queue.create ();
     lock = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
@@ -53,20 +40,6 @@ let send t msg =
   Queue.push msg t.q;
   count_send t msg;
   Condition.signal t.nonempty;
-  Mutex.unlock t.lock;
-  Stats.record_message ~bytes:(Bytes.length msg)
-
-(** Park a message in flight: receivers cannot see it until one of them
-    times out ({!recv_timeout} returning [`Timeout] promotes every
-    delayed message to the live queue). *)
-let send_delayed t msg =
-  Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    raise Closed
-  end;
-  Queue.push msg t.delayed;
-  count_send t msg;
   Mutex.unlock t.lock;
   Stats.record_message ~bytes:(Bytes.length msg)
 
@@ -93,13 +66,13 @@ let recv t =
 
 (* The stdlib [Condition] has no timed wait, so the timeout path polls
    with a short sleep.  The poll interval only affects latency, never
-   delivery order, so fault-injected runs stay deterministic. *)
+   delivery order. *)
 let poll_interval = 0.0002
 
 (* Deadline arithmetic uses the monotonic clock, never the wall clock:
    an NTP step forward would spuriously expire a gettimeofday-based
-   deadline (firing the retry machinery for no reason), and a step
-   backward would leave a receiver polling long past its timeout.
+   deadline, and a step backward would leave a receiver polling long
+   past its timeout.
    CLOCK_MONOTONIC cannot step, so the deadline means what it says. *)
 let recv_timeout t timeout =
   let deadline =
@@ -117,10 +90,6 @@ let recv_timeout t timeout =
       `Closed
     end
     else if Clock.monotonic_ns () >= deadline then begin
-      (* The receiver has given up: any delayed messages now "arrive",
-         visible to the *next* receive — a late reply crossing a retry
-         on the wire. *)
-      Queue.transfer t.delayed t.q;
       Mutex.unlock t.lock;
       `Timeout
     end
@@ -141,12 +110,6 @@ let try_recv t =
 let pending t =
   Mutex.lock t.lock;
   let n = Queue.length t.q in
-  Mutex.unlock t.lock;
-  n
-
-let delayed_pending t =
-  Mutex.lock t.lock;
-  let n = Queue.length t.delayed in
   Mutex.unlock t.lock;
   n
 

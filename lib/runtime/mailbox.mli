@@ -1,26 +1,18 @@
 (** Node mailboxes: FIFO queues of serialized messages.
 
-    All inter-node traffic flows through mailboxes as opaque byte
-    buffers; every send is counted in {!Stats}.  For the fault-tolerant
-    runtime a mailbox can be closed (poison waking blocked receivers)
-    and messages can be parked as *delayed*, becoming visible only after
-    a receiver's timeout expires — the deterministic model of a
-    straggling link. *)
+    The in-process transport's frames flow through mailboxes as opaque
+    byte buffers; every send is counted in {!Stats}.  A mailbox can be
+    closed (poison waking blocked receivers). *)
 
 type t
 
 exception Closed
-(** Raised by {!send}/{!send_delayed} on a closed mailbox, and by
-    {!recv} once a closed mailbox has drained. *)
+(** Raised by {!send} on a closed mailbox, and by {!recv} once a closed
+    mailbox has drained. *)
 
 val create : unit -> t
 
 val send : t -> Bytes.t -> unit
-
-val send_delayed : t -> Bytes.t -> unit
-(** Parks the message in flight: invisible to receivers until a
-    {!recv_timeout} expires, which promotes all delayed messages to the
-    live queue (they "arrive late", after the receiver gave up). *)
 
 val close : t -> unit
 (** Poisons the mailbox: blocked receivers wake, pending messages can
@@ -31,16 +23,12 @@ val recv : t -> Bytes.t
     empty. *)
 
 val recv_timeout : t -> float -> [ `Msg of Bytes.t | `Timeout | `Closed ]
-(** [recv_timeout t seconds] waits up to [seconds] for a message.
-    [`Timeout] also promotes any delayed messages, so the next receive
-    observes them; [`Closed] once the mailbox is closed and empty. *)
+(** [recv_timeout t seconds] waits up to [seconds] for a message;
+    [`Closed] once the mailbox is closed and empty. *)
 
 val try_recv : t -> Bytes.t option
 
 val pending : t -> int
 
-val delayed_pending : t -> int
-(** Messages parked by {!send_delayed} not yet promoted. *)
-
 val totals : t -> int * int
-(** (messages, bytes) ever sent to this mailbox (delayed included). *)
+(** (messages, bytes) ever sent to this mailbox. *)

@@ -12,7 +12,7 @@
       children with capped exponential backoff;
     - {b retry}: in-flight slices of a dead child are re-issued to
       survivors under the same checksummed-envelope protocol as
-      [Cluster.run] — a SIGKILL mid-request costs latency, never
+      [Cluster.run_topology] — a SIGKILL mid-request costs latency, never
       correctness;
     - {b deadlines}: a request may carry a compute budget, propagated
       to workers as an absolute [CLOCK_MONOTONIC] timestamp (valid
@@ -149,47 +149,28 @@ let drain_wake t =
 (* Child side.                                                         *)
 
 let serve_loop ~cores_per_node ~work ~id chan =
-  Cluster.note_current_node id;
-  let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
   let pool = lazy (Pool.create ~workers:cores_per_node ()) in
-  let rec loop () =
-    match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | kind, _ as frame ->
-        Protocol.step trk (Protocol.Recv kind);
-        handle frame
-  and handle = function
-    | Transport.Ping, payload ->
-        Transport.Socket.send chan ~kind:Transport.Pong payload;
-        loop ()
-    | (Transport.Err | Transport.Nack | Transport.Pong), _ -> loop ()
-    | (Transport.Seg_put | Transport.Seg_reuse | Transport.Seg_free), _ ->
-        (* Segment residency lives in Darray sessions; a request/reply
-           service child holds no segment table, so reject loudly
-           rather than silently accept a put. *)
-        Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty;
-        loop ()
-    | Transport.Data, bytes ->
-        (match Codec.of_bytes task_codec bytes with
-        | exception _ ->
-            Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty
-        | (req, slice, seq), (deadline_ns, payload) -> (
-            if deadline_ns > 0 && Clock.monotonic_ns () > deadline_ns then
-              (* Past deadline: cancelled, not computed. *)
-              Transport.Socket.send chan
-                (Codec.to_bytes reply_codec ((req, slice, seq), None))
-            else
-              match work ~node:id ~pool:(Lazy.force pool) payload with
-              | r ->
-                  Transport.Socket.send chan
-                    (Codec.to_bytes reply_codec ((req, slice, seq), Some r))
-              | exception e ->
-                  Transport.Socket.send chan ~kind:Transport.Err
-                    (Codec.to_bytes err_codec
-                       ((req, slice), Printexc.to_string e))));
-        loop ()
-  in
-  loop ()
+  let reply ?kind bytes = Transport.Socket.send chan ?kind bytes in
+  Cluster.serve ~id chan (fun kind bytes ->
+      match kind with
+      | Transport.Data -> (
+          match Codec.of_bytes task_codec bytes with
+          | exception _ -> reply ~kind:Transport.Nack Bytes.empty
+          | (req, slice, seq), (deadline_ns, payload) -> (
+              if deadline_ns > 0 && Clock.monotonic_ns () > deadline_ns then
+                (* Past deadline: cancelled, not computed. *)
+                reply (Codec.to_bytes reply_codec ((req, slice, seq), None))
+              else
+                match work ~node:id ~pool:(Lazy.force pool) payload with
+                | r -> reply (Codec.to_bytes reply_codec ((req, slice, seq), Some r))
+                | exception e ->
+                    reply ~kind:Transport.Err
+                      (Codec.to_bytes err_codec ((req, slice), Printexc.to_string e))))
+      | _ ->
+          (* Segment residency lives in Darray sessions; a request/reply
+             service child holds no segment table, so reject loudly
+             rather than silently accept a put. *)
+          reply ~kind:Transport.Nack Bytes.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher side.                                                    *)

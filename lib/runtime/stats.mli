@@ -53,7 +53,7 @@ val record_task : unit -> unit
 (** {1 Fault-tolerance counters}
 
     Bumped by the {!Fault} injector and the recovery paths in
-    {!Cluster.run}; zero in fault-free runs. *)
+    {!Cluster.run_topology}; zero in fault-free runs. *)
 
 (** {2 Encode accounting}
 

@@ -1,18 +1,22 @@
 (* Fault-tolerance tests: the checksummed codec envelope, mailbox
    timeouts/poison, the deterministic fault injector, and recovery in
-   the cluster runtime — including the four kernels computing correct
-   results under injected crashes, corruption, drops, duplicates and
-   stragglers. *)
+   the cluster runtime on both backends — including the four kernels
+   computing correct results under injected crashes, corruption, drops,
+   duplicates and stragglers.
+
+   ORDER MATTERS.  The process backend forks, and OCaml forbids [fork]
+   once any domain has been spawned, so the process-backend recovery
+   cases run before the first test that spawns one. *)
 
 open Triolet_runtime
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
 module Payload = Triolet_base.Payload
 
-(* This suite spawns multi-domain pools and then runs ambient-context
-   distributed pipelines, which the process backend's fork requirement
-   forbids; ignore TRIOLET_BACKEND so the suite behaves identically
-   under it (test_transport covers the process backend). *)
+(* The ambient-context kernel tests spawn multi-domain pools, which the
+   process backend's fork requirement forbids; ignore TRIOLET_BACKEND so
+   the suite behaves identically under it (the recovery cases pick their
+   backend explicitly). *)
 let () = Unix.putenv "TRIOLET_BACKEND" ""
 let () = Pool.set_default_width 2
 
@@ -22,15 +26,6 @@ let check_bool = Alcotest.(check bool)
 let qtest ?count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
 
-let with_pool w f =
-  let p = Pool.create ~workers:w () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-(* Fast fault plans so retry rounds take milliseconds. *)
-let fast ?drop ?duplicate ?corrupt ?delay ?faults_of ?crash ?stragglers
-    ?(max_attempts = 8) ~seed () =
-  Fault.spec ?drop ?duplicate ?corrupt ?delay ?faults_of ?crash ?stragglers
-    ~max_attempts ~base_timeout:0.002 ~max_timeout:0.02 ~seed ()
 
 (* ------------------------------------------------------------------ *)
 (* Codec: checksummed envelope and whole-buffer decoding               *)
@@ -171,32 +166,20 @@ let test_close_semantics () =
   | `Closed -> ()
   | `Msg _ | `Timeout -> Alcotest.fail "expected `Closed"
 
-let test_delayed_promoted_by_timeout () =
-  let mb = Mailbox.create () in
-  Mailbox.send_delayed mb (Bytes.of_string "slow");
-  check_int "parked" 1 (Mailbox.delayed_pending mb);
-  check_int "invisible" 0 (Mailbox.pending mb);
-  Alcotest.(check bool) "try_recv misses it" true (Mailbox.try_recv mb = None);
-  (* a timed-out receive promotes it... *)
-  (match Mailbox.recv_timeout mb 0.005 with
-  | `Timeout -> ()
-  | `Msg _ | `Closed -> Alcotest.fail "expected timeout");
-  check_int "promoted" 0 (Mailbox.delayed_pending mb);
-  (* ...and the next receive observes it *)
-  match Mailbox.recv_timeout mb 0.005 with
-  | `Msg b -> Alcotest.(check string) "late arrival" "slow" (Bytes.to_string b)
-  | `Timeout | `Closed -> Alcotest.fail "expected late message"
-
 (* ------------------------------------------------------------------ *)
 (* Fault injector determinism                                          *)
 
+let noisy seed =
+  Fault.make
+    (Fault.spec ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ())
+
+(* The fate [Fault.decide] draws for message [i] of a 50-message run. *)
+let fate f i = Fault.decide f ~link:(Fault.To_node (i mod 4)) (Bytes.make 16 'a')
+
 let run_schedule seed =
-  let f = Fault.make (fast ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ()) in
-  let mb = Mailbox.create () in
-  for i = 0 to 49 do
-    Fault.send f ~link:(Fault.To_node (i mod 4)) mb (Bytes.make 16 'a')
-  done;
-  (Fault.counters f, Mailbox.totals mb)
+  let f = noisy seed in
+  let fates = List.init 50 (fate f) in
+  (Fault.counters f, fates)
 
 let test_injector_deterministic () =
   let a = run_schedule 7 and b = run_schedule 7 and c = run_schedule 8 in
@@ -234,45 +217,41 @@ let test_inject_deterministic () =
    zero) service-fault points are interrogated between messages. *)
 let test_inject_zero_rate_inert () =
   let schedule ~interrogate seed =
-    let f = Fault.make (fast ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ()) in
-    let mb = Mailbox.create () in
-    for i = 0 to 49 do
-      if interrogate then begin
-        check_bool "zero heartbeat_loss" false
-          (Fault.inject f Fault.Heartbeat_loss ~node:(i mod 4));
-        check_bool "zero crash_on_respawn" false
-          (Fault.inject f Fault.Crash_on_respawn ~node:(i mod 4))
-      end;
-      Fault.send f ~link:(Fault.To_node (i mod 4)) mb (Bytes.make 16 'a')
-    done;
-    (Fault.counters f, Mailbox.totals mb)
+    let f = noisy seed in
+    let fates =
+      List.init 50 (fun i ->
+          if interrogate then begin
+            check_bool "zero heartbeat_loss" false
+              (Fault.inject f Fault.Heartbeat_loss ~node:(i mod 4));
+            check_bool "zero crash_on_respawn" false
+              (Fault.inject f Fault.Crash_on_respawn ~node:(i mod 4))
+          end;
+          fate f i)
+    in
+    (Fault.counters f, fates)
   in
   check_bool "schedule unmoved by zero-rate probes" true
     (schedule ~interrogate:false 7 = schedule ~interrogate:true 7)
 
-let test_timeout_backoff () =
-  let s = fast ~seed:0 () in
-  let t0 = Fault.timeout_for s ~attempt:0 in
-  let t1 = Fault.timeout_for s ~attempt:1 in
-  let t9 = Fault.timeout_for s ~attempt:9 in
-  check_bool "doubles" true (t1 = 2.0 *. t0);
-  check_bool "capped" true (t9 = s.Fault.max_timeout);
-  check_bool "huge attempt stays capped" true
-    (Fault.timeout_for s ~attempt:1000 = s.Fault.max_timeout)
-
 (* ------------------------------------------------------------------ *)
 (* Cluster under faults                                                *)
 
-let cfg nodes = { Cluster.nodes; cores_per_node = 1; flat = false }
+let topo backend nodes = { Cluster.nodes; cores_per_node = 1; backend }
 let ctx nodes = Triolet.Exec.make ~nodes ~cores_per_node:1 ()
+
+(* In-process cases run on the default 2-wide pool; process cases never
+   touch it, so the parent stays forkable. *)
+let run backend ?faults nodes ~scatter ~work ~result_codec ~merge ~init =
+  Cluster.run_topology ?faults (topo backend nodes) ~scatter ~work
+    ~result_codec ~merge ~init
 
 (* A distributed sum whose merge is order-sensitive enough to catch
    double or missing merges: each node contributes its id-tagged
    slice sum. *)
-let sum_run ?faults pool nodes =
+let sum_run ?faults backend nodes =
   let data = Float.Array.init 120 float_of_int in
   let blocks = Partition.blocks ~parts:nodes 120 in
-  Cluster.run ~pool ?faults (cfg nodes)
+  run backend ?faults nodes
     ~scatter:(fun node ->
       let off, len = blocks.(node) in
       [ Payload.Floats (Float.Array.sub data off len) ])
@@ -284,118 +263,129 @@ let sum_run ?faults pool nodes =
 
 let expected_sum = 120.0 *. 119.0 /. 2.0
 
-let test_clean_report_unchanged () =
+let test_clean_report_unchanged backend () =
   (* Without faults the report's fault fields are zero and byte/message
-     accounting is exactly the legacy protocol's. *)
-  with_pool 2 (fun pool ->
-      let total, r = sum_run pool 4 in
-      Alcotest.(check (float 1e-9)) "sum" expected_sum total;
-      check_int "scatter msgs" 4 r.Cluster.scatter_messages;
-      check_int "gather msgs" 4 r.Cluster.gather_messages;
-      check_int "retries" 0 r.Cluster.retries;
-      check_int "redeliveries" 0 r.Cluster.redeliveries;
-      check_int "corrupt drops" 0 r.Cluster.corrupt_drops;
-      check_int "crashed nodes" 0 r.Cluster.crashed_nodes;
-      check_int "faults" 0 r.Cluster.faults_injected;
-      check_int "recovery" 0 r.Cluster.recovery_ns)
+     accounting is one scatter and one reply per worker. *)
+  let total, r = sum_run backend 4 in
+  Alcotest.(check (float 1e-9)) "sum" expected_sum total;
+  check_int "scatter msgs" 4 r.Cluster.scatter_messages;
+  check_int "gather msgs" 4 r.Cluster.gather_messages;
+  check_int "retries" 0 r.Cluster.retries;
+  check_int "redeliveries" 0 r.Cluster.redeliveries;
+  check_int "corrupt drops" 0 r.Cluster.corrupt_drops;
+  check_int "crashed nodes" 0 r.Cluster.crashed_nodes;
+  check_int "faults" 0 r.Cluster.faults_injected;
+  check_int "recovery" 0 r.Cluster.recovery_ns
 
-let test_crash_each_phase_recovers () =
-  with_pool 2 (fun pool ->
-      List.iter
-        (fun phase ->
-          let faults = fast ~seed:1 ~crash:(1, phase) () in
-          let total, r = sum_run ~faults pool 4 in
-          Alcotest.(check (float 1e-9)) "sum survives crash" expected_sum total;
-          check_int "one crash" 1 r.Cluster.crashed_nodes;
-          check_bool "retried" true (r.Cluster.retries > 0))
-        [ Fault.Before_work; Fault.During_work; Fault.After_work ])
+let test_fault_free_never_retries backend () =
+  (* A slow slice is not a lost one: without a fault plan nothing is
+     re-sent however long [work] takes. *)
+  let total, r =
+    run backend 3
+      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~work:(fun ~node:_ ~pool:_ payload ->
+        Unix.sleepf 0.05;
+        match payload with [ Payload.Ints a ] -> a.(0) | _ -> -1)
+      ~result_codec:Codec.int ~merge:( + ) ~init:0
+  in
+  check_int "sum" 3 total;
+  check_int "retries" 0 r.Cluster.retries;
+  check_int "one scatter per worker" 3 r.Cluster.scatter_messages;
+  check_int "one reply per worker" 3 r.Cluster.gather_messages
 
-let test_duplicate_replies_deduped () =
-  with_pool 2 (fun pool ->
-      let faults =
-        fast ~seed:2
-          ~faults_of:(function
-            | Fault.From_node _ -> { Fault.no_faults with duplicate = 1.0 }
-            | Fault.To_node _ -> Fault.no_faults)
-          ()
-      in
-      let total, r = sum_run ~faults pool 4 in
-      Alcotest.(check (float 1e-9)) "merged at most once" expected_sum total;
-      check_bool "redeliveries counted" true (r.Cluster.redeliveries >= 4))
-
-let test_straggler_recovered () =
-  with_pool 2 (fun pool ->
-      let faults = fast ~seed:3 ~stragglers:[ 2 ] () in
-      let total, r = sum_run ~faults pool 4 in
-      Alcotest.(check (float 1e-9)) "sum" expected_sum total;
-      check_bool "straggler forced a retry" true (r.Cluster.retries > 0);
-      check_bool "late reply discarded" true (r.Cluster.redeliveries > 0))
-
-let test_corrupt_link_detected () =
-  with_pool 2 (fun pool ->
-      (* every reply corrupted on its first delivery would loop forever;
-         corrupt only node 1's link and let retries win eventually *)
-      let faults =
-        fast ~seed:4
-          ~faults_of:(function
-            | Fault.From_node 1 -> { Fault.no_faults with corrupt = 0.7 }
-            | _ -> Fault.no_faults)
-          ()
-      in
-      let total, r = sum_run ~faults pool 4 in
-      Alcotest.(check (float 1e-9)) "sum" expected_sum total;
-      check_bool "corruption detected" true (r.Cluster.corrupt_drops > 0);
+let test_crash_each_phase_recovers backend () =
+  List.iter
+    (fun phase ->
+      let faults = Fault.spec ~seed:1 ~crash:(1, phase) () in
+      let total, r = sum_run ~faults backend 4 in
+      Alcotest.(check (float 1e-9)) "sum survives crash" expected_sum total;
+      check_int "one crash" 1 r.Cluster.crashed_nodes;
       check_bool "retried" true (r.Cluster.retries > 0))
+    [ Fault.Before_work; Fault.During_work; Fault.After_work ]
 
-let test_recovery_exhausted () =
-  with_pool 2 (fun pool ->
-      (* node 1 never delivers anything: attempts must run out *)
-      let faults =
-        fast ~seed:5 ~max_attempts:3
-          ~faults_of:(function
-            | Fault.To_node 1 -> { Fault.no_faults with drop = 1.0 }
-            | _ -> Fault.no_faults)
-          ()
-      in
-      check_bool "recovery exhausted raises" true
-        (match sum_run ~faults pool 4 with
-        | _ -> false
-        | exception Cluster.Recovery_exhausted { worker = 1; attempts = 3 } ->
-            true))
+let test_duplicate_replies_deduped backend () =
+  let faults =
+    Fault.spec ~seed:2
+      ~faults_of:(function
+        | Fault.From_node _ -> { Fault.no_faults with duplicate = 1.0 }
+        | Fault.To_node _ -> Fault.no_faults)
+      ()
+  in
+  let total, r = sum_run ~faults backend 4 in
+  Alcotest.(check (float 1e-9)) "merged at most once" expected_sum total;
+  check_bool "redeliveries counted" true (r.Cluster.redeliveries >= 4)
 
-let test_work_exception_reraised () =
-  with_pool 2 (fun pool ->
-      (* a deterministic exception in [work] survives retries and is
-         re-raised once recovery gives up *)
-      let faults = fast ~seed:6 ~max_attempts:2 () in
-      check_bool "work exception re-raised" true
-        (match
-           Cluster.run ~pool ~faults (cfg 3)
-             ~scatter:(fun _ -> Payload.empty)
-             ~work:(fun ~node ~pool:_ _ ->
-               if node = 1 then failwith "boom" else node)
-             ~result_codec:Codec.int ~merge:( + ) ~init:0
-         with
-        | _ -> false
-        | exception Failure msg -> msg = "boom"))
+let test_straggler_recovered backend () =
+  let faults = Fault.spec ~seed:3 ~stragglers:[ 2 ] () in
+  let total, r = sum_run ~faults backend 4 in
+  Alcotest.(check (float 1e-9)) "sum" expected_sum total;
+  check_bool "straggler forced a retry" true (r.Cluster.retries > 0);
+  check_bool "late reply discarded" true (r.Cluster.redeliveries > 0)
 
-let test_merge_worker_order_under_faults () =
-  with_pool 2 (fun pool ->
-      (* a non-commutative merge: recovery must still fold worker 0
-         first even though worker 1 crashed and resolved last *)
-      let faults = fast ~seed:7 ~crash:(1, Fault.During_work) () in
-      let order, _ =
-        Cluster.run ~pool ~faults (cfg 4)
-          ~scatter:(fun node -> [ Payload.Ints [| node |] ])
-          ~work:(fun ~node:_ ~pool:_ payload ->
-            match payload with
-            | [ Payload.Ints a ] -> a.(0)
-            | _ -> -1)
-          ~result_codec:Codec.int
-          ~merge:(fun acc v -> acc @ [ v ])
-          ~init:[]
-      in
-      Alcotest.(check (list int)) "worker order" [ 0; 1; 2; 3 ] order)
+let test_corrupt_link_detected backend () =
+  (* every reply corrupted on its first delivery would loop forever;
+     corrupt only node 1's link and let retries win eventually *)
+  let faults =
+    Fault.spec ~seed:4
+      ~faults_of:(function
+        | Fault.From_node 1 -> { Fault.no_faults with corrupt = 0.7 }
+        | _ -> Fault.no_faults)
+      ()
+  in
+  let total, r = sum_run ~faults backend 4 in
+  Alcotest.(check (float 1e-9)) "sum" expected_sum total;
+  check_bool "corruption detected" true (r.Cluster.corrupt_drops > 0);
+  check_bool "retried" true (r.Cluster.retries > 0)
+
+let test_recovery_exhausted backend () =
+  (* node 1 never receives anything: attempts must run out *)
+  let faults =
+    Fault.spec ~seed:5 ~max_attempts:3
+      ~faults_of:(function
+        | Fault.To_node 1 -> { Fault.no_faults with drop = 1.0 }
+        | _ -> Fault.no_faults)
+      ()
+  in
+  check_bool "recovery exhausted raises" true
+    (match sum_run ~faults backend 4 with
+    | _ -> false
+    | exception Cluster.Recovery_exhausted { worker = 1; attempts = 3 } -> true);
+  (* the only node dies on its first task: no survivor to re-issue to,
+     after the one attempt that was really sent *)
+  let faults = Fault.spec ~seed:5 ~crash:(0, Fault.Before_work) () in
+  check_bool "no survivor reports the attempt made" true
+    (match sum_run ~faults backend 1 with
+    | _ -> false
+    | exception Cluster.Recovery_exhausted { worker = 0; attempts = 1 } -> true)
+
+let test_work_exception_reraised backend () =
+  (* a deterministic exception in [work] survives retries and is
+     re-raised once recovery gives up *)
+  let faults = Fault.spec ~seed:6 ~max_attempts:2 () in
+  check_bool "work exception re-raised" true
+    (match
+       run backend ~faults 3
+         ~scatter:(fun _ -> Payload.empty)
+         ~work:(fun ~node ~pool:_ _ -> if node = 1 then failwith "boom" else node)
+         ~result_codec:Codec.int ~merge:( + ) ~init:0
+     with
+    | _ -> false
+    | exception Failure msg -> msg = "boom")
+
+let test_merge_worker_order_under_faults backend () =
+  (* a non-commutative merge: recovery must still fold worker 0
+     first even though worker 1 crashed and resolved last *)
+  let faults = Fault.spec ~seed:7 ~crash:(1, Fault.During_work) () in
+  let order, _ =
+    run backend ~faults 4
+      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~work:(fun ~node:_ ~pool:_ payload ->
+        match payload with [ Payload.Ints a ] -> a.(0) | _ -> -1)
+      ~result_codec:Codec.int
+      ~merge:(fun acc v -> acc @ [ v ])
+      ~init:[]
+  in
+  Alcotest.(check (list int)) "worker order" [ 0; 1; 2; 3 ] order
 
 let deterministic_part (r : Cluster.report) =
   ( ( r.Cluster.scatter_bytes,
@@ -409,53 +399,66 @@ let deterministic_part (r : Cluster.report) =
       r.Cluster.crashed_nodes,
       r.Cluster.faults_injected ) )
 
-let test_seeded_run_reproducible () =
+let test_seeded_run_reproducible backend () =
   (* Same seed: bit-for-bit identical result and identical fault
      schedule (every deterministic report field).  Different seed:
      still the correct sum. *)
-  with_pool 2 (fun pool ->
-      let spec =
-        fast ~seed:11 ~drop:0.15 ~duplicate:0.15 ~corrupt:0.15 ~delay:0.15
-          ~crash:(2, Fault.During_work) ()
-      in
-      let t1, r1 = sum_run ~faults:spec pool 4 in
-      let t2, r2 = sum_run ~faults:spec pool 4 in
-      check_bool "results bit-for-bit equal" true (t1 = t2);
-      check_bool "fault schedule reproduced" true
-        (deterministic_part r1 = deterministic_part r2);
-      check_bool "still correct" true (t1 = expected_sum);
-      check_bool "nonzero recovery activity" true (r1.Cluster.retries > 0))
+  let spec =
+    Fault.spec ~seed:11 ~drop:0.15 ~duplicate:0.15 ~corrupt:0.15 ~delay:0.15
+      ~crash:(2, Fault.During_work) ()
+  in
+  let t1, r1 = sum_run ~faults:spec backend 4 in
+  let t2, r2 = sum_run ~faults:spec backend 4 in
+  check_bool "results bit-for-bit equal" true (t1 = t2);
+  check_bool "fault schedule reproduced" true
+    (deterministic_part r1 = deterministic_part r2);
+  check_bool "still correct" true (t1 = expected_sum);
+  check_bool "nonzero recovery activity" true (r1.Cluster.retries > 0)
 
-let test_encode_once_under_drops () =
+let test_encode_once_under_drops backend () =
   (* The retry loop re-sends cached bytes: even when injected drops
      force several delivery attempts per node, each (node, slice) pair
      is serialized exactly once.  Re-encoding inside the retry loop was
      a real regression — this pins the hoisted serialization. *)
-  with_pool 2 (fun pool ->
-      let faults =
-        fast ~seed:21
-          ~faults_of:(function
-            | Fault.To_node _ -> { Fault.no_faults with drop = 0.5 }
-            | Fault.From_node _ -> Fault.no_faults)
-          ()
-      in
-      Stats.reset_encode_count ();
-      let total, r = sum_run ~faults pool 4 in
-      Alcotest.(check (float 1e-9)) "sum survives the drops" expected_sum total;
-      check_bool "drops actually forced retries" true (r.Cluster.retries > 0);
-      check_int "each (node, slice) encoded exactly once" 4
-        (Stats.encode_count ()))
+  let faults =
+    Fault.spec ~seed:21
+      ~faults_of:(function
+        | Fault.To_node _ -> { Fault.no_faults with drop = 0.5 }
+        | Fault.From_node _ -> Fault.no_faults)
+      ()
+  in
+  Stats.reset_encode_count ();
+  let total, r = sum_run ~faults backend 4 in
+  Alcotest.(check (float 1e-9)) "sum survives the drops" expected_sum total;
+  check_bool "drops actually forced retries" true (r.Cluster.retries > 0);
+  check_int "each (node, slice) encoded exactly once" 4 (Stats.encode_count ())
 
 let prop_faulty_sum_correct =
   qtest ~count:15 "random seeds: faulty run = fault-free result"
     QCheck2.Gen.(int_bound 10_000)
     (fun seed ->
-      with_pool 2 (fun pool ->
-          let faults =
-            fast ~seed ~drop:0.1 ~duplicate:0.1 ~corrupt:0.1 ~delay:0.1 ()
-          in
-          let total, _ = sum_run ~faults pool 3 in
-          total = expected_sum))
+      let faults =
+        Fault.spec ~seed ~drop:0.1 ~duplicate:0.1 ~corrupt:0.1 ~delay:0.1 ()
+      in
+      let total, _ = sum_run ~faults Cluster.Inprocess 3 in
+      total = expected_sum)
+
+(* The recovery cases every backend runs. *)
+let recovery_cases backend =
+  List.map
+    (fun (name, test) -> Alcotest.test_case name `Quick (test backend))
+    [
+      ("clean report unchanged", test_clean_report_unchanged);
+      ("fault-free never retries", test_fault_free_never_retries);
+      ("crash each phase", test_crash_each_phase_recovers);
+      ("duplicates deduped", test_duplicate_replies_deduped);
+      ("straggler", test_straggler_recovered);
+      ("corrupt link", test_corrupt_link_detected);
+      ("recovery exhausted", test_recovery_exhausted);
+      ("merge in worker order", test_merge_worker_order_under_faults);
+      ("seeded run reproducible", test_seeded_run_reproducible);
+      ("encode once under drops", test_encode_once_under_drops);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernels under the acceptance scenario: a single-node crash plus     *)
@@ -464,8 +467,7 @@ let prop_faulty_sum_correct =
 module D = Triolet_kernels.Dataset
 
 let acceptance_spec seed =
-  Fault.spec ~drop:0.05 ~corrupt:0.05 ~crash:(1, Fault.During_work)
-    ~base_timeout:0.002 ~max_timeout:0.02 ~seed ()
+  Fault.spec ~drop:0.05 ~corrupt:0.05 ~crash:(1, Fault.During_work) ~seed ()
 
 let kernel_cases =
   [
@@ -557,6 +559,7 @@ let () =
           prop_checksummed_never_decodes_corruption;
           prop_plain_codec_roundtrip_still_exact;
         ] );
+      ("recovery-process", recovery_cases Cluster.Process);
       ( "mailbox",
         [
           Alcotest.test_case "recv_timeout empty" `Quick test_recv_timeout_empty;
@@ -567,8 +570,6 @@ let () =
           Alcotest.test_case "close wakes blocked recv" `Quick
             test_close_wakes_blocked_recv;
           Alcotest.test_case "close semantics" `Quick test_close_semantics;
-          Alcotest.test_case "delayed promoted by timeout" `Quick
-            test_delayed_promoted_by_timeout;
         ] );
       ( "injector",
         [
@@ -578,29 +579,14 @@ let () =
             test_inject_deterministic;
           Alcotest.test_case "zero-rate service faults inert" `Quick
             test_inject_zero_rate_inert;
-          Alcotest.test_case "timeout backoff" `Quick test_timeout_backoff;
         ] );
       ( "cluster-recovery",
-        [
-          Alcotest.test_case "clean report unchanged" `Quick
-            test_clean_report_unchanged;
-          Alcotest.test_case "crash each phase" `Quick
-            test_crash_each_phase_recovers;
-          Alcotest.test_case "duplicates deduped" `Quick
-            test_duplicate_replies_deduped;
-          Alcotest.test_case "straggler" `Quick test_straggler_recovered;
-          Alcotest.test_case "corrupt link" `Quick test_corrupt_link_detected;
-          Alcotest.test_case "recovery exhausted" `Quick test_recovery_exhausted;
-          Alcotest.test_case "work exception re-raised" `Quick
-            test_work_exception_reraised;
-          Alcotest.test_case "merge in worker order" `Quick
-            test_merge_worker_order_under_faults;
-          Alcotest.test_case "seeded run reproducible" `Quick
-            test_seeded_run_reproducible;
-          Alcotest.test_case "encode once under drops" `Quick
-            test_encode_once_under_drops;
-          prop_faulty_sum_correct;
-        ] );
+        recovery_cases Cluster.Inprocess
+        @ [
+            Alcotest.test_case "work exception re-raised" `Quick
+              (test_work_exception_reraised Cluster.Inprocess);
+            prop_faulty_sum_correct;
+          ] );
       ( "kernels-under-faults",
         [
           Alcotest.test_case "fault matrix correctness" `Quick

@@ -14,18 +14,19 @@ let () = Triolet_runtime.Pool.set_default_width 2
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen prop)
 
-let gen_cluster =
-  QCheck2.Gen.(
-    map3
-      (fun nodes cores flat -> { Cluster.nodes; cores_per_node = cores; flat })
-      (int_range 1 6) (int_range 1 4) bool)
-
-let ctx_of { Cluster.nodes; cores_per_node; flat } =
-  Exec.make ~nodes ~cores_per_node
+(* A cluster shape: two-level on the ambient backend, or flat. *)
+let shape ~nodes ~cores ~flat =
+  Exec.make ~nodes ~cores_per_node:cores
     ~backend:(if flat then Cluster.Flat else (Exec.default ()).Exec.backend)
     ()
 
-let on cluster f = Exec.with_context (ctx_of cluster) f
+let gen_cluster =
+  QCheck2.Gen.(
+    map3
+      (fun nodes cores flat -> shape ~nodes ~cores ~flat)
+      (int_range 1 6) (int_range 1 4) bool)
+
+let on ctx f = Exec.with_context ctx f
 
 (* ------------------------------------------------------------------ *)
 (* Cluster-shape invariance of full kernels                            *)
@@ -124,9 +125,9 @@ let test_messages_scale_with_workers () =
         d.Stats.messages)
   in
   Alcotest.(check int) "two-level: 2 per node" 8
-    (msgs { Cluster.nodes = 4; cores_per_node = 4; flat = false });
+    (msgs (shape ~nodes:4 ~cores:4 ~flat:false));
   Alcotest.(check int) "flat: 2 per core" 32
-    (msgs { Cluster.nodes = 4; cores_per_node = 4; flat = true })
+    (msgs (shape ~nodes:4 ~cores:4 ~flat:true))
 
 (* ------------------------------------------------------------------ *)
 (* A full "user session": several consumers over one dataset           *)

@@ -291,7 +291,7 @@ let test_recovery_ns_nonnegative () =
   let spec =
     Fault.spec ~seed:7
       ~crash:(1, Fault.During_work)
-      ~max_attempts:8 ~base_timeout:0.002 ~max_timeout:0.02 ()
+      ~max_attempts:8 ()
   in
   Stats.reset ();
   let sum =

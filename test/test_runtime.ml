@@ -500,11 +500,11 @@ module Codec = Triolet_base.Codec
 
 let test_cluster_scatter_gather () =
   with_pool 2 (fun pool ->
-      let cfg = { Cluster.nodes = 4; cores_per_node = 2; flat = false } in
+      let topo = { Cluster.nodes = 4; cores_per_node = 2; backend = Cluster.Inprocess } in
       let data = Float.Array.init 100 float_of_int in
       let blocks = Partition.blocks ~parts:4 100 in
       let total, report =
-        Cluster.run ~pool cfg
+        Cluster.run_topology ~pool topo
           ~scatter:(fun node ->
             let off, len = blocks.(node) in
             [ Payload.Floats (Float.Array.sub data off len) ])
@@ -523,10 +523,10 @@ let test_cluster_data_isolation () =
   (* A node must not be able to mutate the sender's buffer: payloads are
      decoded into fresh arrays. *)
   with_pool 2 (fun pool ->
-      let cfg = { Cluster.nodes = 1; cores_per_node = 1; flat = false } in
+      let topo = { Cluster.nodes = 1; cores_per_node = 1; backend = Cluster.Inprocess } in
       let data = Float.Array.make 8 1.0 in
       let (), _ =
-        Cluster.run ~pool cfg
+        Cluster.run_topology ~pool topo
           ~scatter:(fun _ -> [ Payload.Floats data ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with
@@ -540,10 +540,10 @@ let test_cluster_data_isolation () =
 
 let test_cluster_flat_mode_worker_count () =
   with_pool 2 (fun pool ->
-      let cfg = { Cluster.nodes = 2; cores_per_node = 3; flat = true } in
+      let topo = { Cluster.nodes = 2; cores_per_node = 3; backend = Cluster.Flat } in
       let seen = ref 0 in
       let (), report =
-        Cluster.run ~pool cfg
+        Cluster.run_topology ~pool topo
           ~scatter:(fun _ -> Payload.empty)
           ~work:(fun ~node:_ ~pool:_ _ -> incr seen)
           ~result_codec:Codec.unit
@@ -555,9 +555,9 @@ let test_cluster_flat_mode_worker_count () =
 
 let test_cluster_merge_order () =
   with_pool 2 (fun pool ->
-      let cfg = { Cluster.nodes = 3; cores_per_node = 1; flat = false } in
+      let topo = { Cluster.nodes = 3; cores_per_node = 1; backend = Cluster.Inprocess } in
       let order, _ =
-        Cluster.run ~pool cfg
+        Cluster.run_topology ~pool topo
           ~scatter:(fun node -> [ Payload.Ints [| node |] ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with
@@ -573,8 +573,8 @@ let test_cluster_invalid_config () =
   Alcotest.check_raises "bad config" (Invalid_argument "Cluster.run: bad config")
     (fun () ->
       ignore
-        (Cluster.run
-           { Cluster.nodes = 0; cores_per_node = 1; flat = false }
+        (Cluster.run_topology
+           { Cluster.nodes = 0; cores_per_node = 1; backend = Cluster.Inprocess }
            ~scatter:(fun _ -> Payload.empty)
            ~work:(fun ~node:_ ~pool:_ _ -> ())
            ~result_codec:Codec.unit

@@ -261,7 +261,7 @@ let test_kernels_cross_backend () =
 let test_external_kill_recovered () =
   let topo = { Cluster.nodes = 3; cores_per_node = 1;
                backend = Cluster.Process } in
-  let faults = Fault.spec ~seed:1 ~base_timeout:0.05 ~max_timeout:0.5 () in
+  let faults = Fault.spec ~seed:1 () in
   let result, report =
     Cluster.run_topology ~faults topo
       ~scatter:(fun node -> [ Payload.Ints [| node + 1 |] ])
@@ -285,8 +285,7 @@ let test_noisy_faults_recovered () =
   let topo = { Cluster.nodes = 3; cores_per_node = 1;
                backend = Cluster.Process } in
   let faults =
-    Fault.spec ~seed:5 ~drop:0.4 ~duplicate:0.4 ~corrupt:0.4 ~delay:0.4
-      ~base_timeout:0.1 ~max_timeout:1.0 ()
+    Fault.spec ~seed:5 ~drop:0.4 ~duplicate:0.4 ~corrupt:0.4 ~delay:0.4 ()
   in
   let result, report =
     Cluster.run_topology ~faults topo
@@ -300,7 +299,7 @@ let test_noisy_faults_recovered () =
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Backend naming and legacy-config immunity.                           *)
+(* Backend naming.                                                     *)
 
 let test_backend_strings () =
   List.iter
@@ -312,25 +311,6 @@ let test_backend_strings () =
     [ Cluster.Inprocess; Cluster.Flat; Cluster.Process ];
   check_bool "unknown rejected" true
     (Cluster.backend_of_string "carrier-pigeon" = None)
-
-(* Legacy [Cluster.run]/[config] entry points must stay deterministic:
-   they never select the process backend, whatever the environment
-   says. *)
-let test_legacy_config_never_process () =
-  Unix.putenv "TRIOLET_BACKEND" "process";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TRIOLET_BACKEND" "")
-    (fun () ->
-      let topo =
-        Cluster.topology_of_config
-          { Cluster.nodes = 2; cores_per_node = 2; flat = false }
-      in
-      check_bool "inprocess" true (topo.Cluster.backend = Cluster.Inprocess);
-      let topo_flat =
-        Cluster.topology_of_config
-          { Cluster.nodes = 2; cores_per_node = 2; flat = true }
-      in
-      check_bool "flat" true (topo_flat.Cluster.backend = Cluster.Flat))
 
 (* ------------------------------------------------------------------ *)
 (* Conformance: both transports behind the same module interface.
@@ -509,8 +489,6 @@ let () =
       ( "backend-api",
         [
           Alcotest.test_case "backend strings" `Quick test_backend_strings;
-          Alcotest.test_case "legacy config never process" `Quick
-            test_legacy_config_never_process;
         ] );
       ("conformance-mailbox", Mailbox_conf.tests);
       ("conformance-socket", Socket_conf.tests);
