@@ -7,6 +7,13 @@
     encoding — the cluster runtime and the simulator both use it for
     byte accounting. *)
 
+(* A message: its exact size and how to write it.  The size goes in a
+   frame header before any payload byte is written, so a socket can
+   stream the encoding through a fixed buffer. *)
+type msg = { size : int; encode : Rw.writer -> unit }
+
+exception Size_mismatch of { declared : int; written : int }
+
 type 'a t = {
   encode : Rw.writer -> 'a -> unit;
   decode : Rw.reader -> 'a;
@@ -76,6 +83,14 @@ let option a =
     size = (fun v -> match v with None -> 1 | Some x -> 1 + a.size x);
   }
 
+(* An element count read off the wire.  Every element of an [array] or
+   [list] takes at least one byte, so a count above the bytes left is
+   corrupt, and is rejected before anything is allocated. *)
+let count r =
+  let n = Rw.read_int r in
+  if n < 0 || n > Rw.remaining r then raise Rw.Underflow;
+  n
+
 (* Boxed arrays pay a length header plus a per-element encode; contrast
    with [floatarray]'s flat block of words.  The bench harness uses the
    difference to quantify the paper's block-copy claim. *)
@@ -87,8 +102,7 @@ let array a =
         Array.iter (a.encode w) v);
     decode =
       (fun r ->
-        let n = Rw.read_int r in
-        if n < 0 then raise Rw.Underflow;
+        let n = count r in
         Array.init n (fun _ -> a.decode r));
     size =
       (fun v -> Array.fold_left (fun acc x -> acc + a.size x) 8 v);
@@ -102,8 +116,7 @@ let list a =
         List.iter (a.encode w) v);
     decode =
       (fun r ->
-        let n = Rw.read_int r in
-        if n < 0 then raise Rw.Underflow;
+        let n = count r in
         List.init n (fun _ -> a.decode r));
     size = (fun v -> List.fold_left (fun acc x -> acc + a.size x) 8 v);
   }
@@ -117,7 +130,7 @@ let int_array =
     decode =
       (fun r ->
         let n = Rw.read_int r in
-        if n < 0 then raise Rw.Underflow;
+        if n < 0 || n > Rw.remaining r / 8 then raise Rw.Underflow;
         Array.init n (fun _ -> Rw.read_int r));
     size = (fun v -> 8 + (8 * Array.length v));
   }
@@ -129,13 +142,22 @@ let map ~inj ~proj a =
     size = (fun v -> a.size (proj v));
   }
 
+let msg c v = { size = c.size v; encode = (fun w -> c.encode w v) }
+
+let bytes_msg b : msg =
+  let n = Bytes.length b in
+  { size = n; encode = (fun w -> Rw.write_bytes w b 0 n) }
+
 (* The writer is preallocated at the exact wire size, so [Rw.detach]
-   hands its buffer over without the final copy — the cluster mailbox
-   hot path serializes every scatter/gather message through here. *)
-let to_bytes c v =
-  let w = Rw.create_writer ~capacity:(max 1 (c.size v)) () in
-  c.encode w v;
+   hands its buffer over without the final copy. *)
+let materialize (m : msg) =
+  let w = Rw.create_writer ~capacity:(max 1 m.size) () in
+  m.encode w;
+  let written = Rw.writer_length w in
+  if written <> m.size then raise (Size_mismatch { declared = m.size; written });
   Rw.detach w
+
+let to_bytes c v = materialize (msg c v)
 
 exception Trailing_bytes of int
 (** Raised by {!of_bytes} when decoding leaves unconsumed bytes. *)
@@ -144,11 +166,12 @@ exception Trailing_bytes of int
    not produced by this codec (truncated copy of a larger message,
    corrupted length field, wrong codec): fail loudly rather than return
    a value reconstructed from a prefix. *)
-let of_bytes c b =
-  let r = Rw.reader_of_bytes b in
+let of_reader c r =
   let v = c.decode r in
   (match Rw.remaining r with 0 -> () | n -> raise (Trailing_bytes n));
   v
+
+let of_bytes c b = of_reader c (Rw.reader_of_bytes b)
 
 (** [roundtrip c v] encodes then decodes [v]; used by tests and by the
     cluster runtime to force a genuine copy across a node boundary.  The
@@ -183,12 +206,15 @@ let checksummed inner =
     encode =
       (fun w v ->
         Rw.write_int w (inner.size v);
-        let crc_pos = Rw.writer_length w in
-        Rw.write_u32 w 0l;
-        let start = Rw.writer_length w in
-        inner.encode w v;
-        let len = Rw.writer_length w - start in
-        Rw.patch_u32 w ~pos:crc_pos (Rw.crc32_range w ~pos:start ~len));
+        (* The CRC slot is back-patched, so a streaming writer must keep
+           the whole payload buffered until then. *)
+        Rw.hold w (fun () ->
+            let crc_pos = Rw.writer_length w in
+            Rw.write_u32 w 0l;
+            let start = Rw.writer_length w in
+            inner.encode w v;
+            let len = Rw.writer_length w - start in
+            Rw.patch_u32 w ~pos:crc_pos (Rw.crc32_range w ~pos:start ~len)));
     decode =
       (fun r ->
         let len = Rw.read_int r in

@@ -48,17 +48,19 @@ let log_src = Logs.Src.create "triolet.cluster" ~doc:"Cluster runtime"
 
 module Log = (val Logs.src_log log_src)
 module Codec = Triolet_base.Codec
+module Rw = Triolet_base.Rw
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
 
 (* Span taxonomy (DESIGN.md, Observability): every wall-clock phase of
    a distributed run is wrapped so a trace accounts for ~all of the
-   call's time.  [cluster.serialize] covers payload construction and
-   encoding on both sides; [cluster.send]/[cluster.recv] the transfers
-   (the recv side includes decode); [cluster.compute] the node work;
-   [cluster.merge] the final fold.  [cluster.retry] only appears on
-   the fault path and overlaps the others, so it is excluded from
-   phase-sum coverage checks. *)
+   call's time.  [cluster.serialize] covers building a slice (and, on
+   the fault path, encoding it to the bytes a retry re-sends);
+   [cluster.send] the transfer, which includes the encoding whenever it
+   streams into the link; [cluster.recv] the receive, including decode;
+   [cluster.compute] the node work; [cluster.merge] the final fold.
+   [cluster.retry] only appears on the fault path and overlaps the
+   others, so it is excluded from phase-sum coverage checks. *)
 let node_attr node = [ ("node", string_of_int node) ]
 
 (* Execution backends.  [Flat] is the in-process transport with Eden's
@@ -149,20 +151,21 @@ let on_node () = !current_node
 let serve ?(tag = "") ~id chan handle =
   current_node := Some id;
   let trk = Protocol.make_tracker Protocol.Child ~id:(tag ^ string_of_int id) in
+  let frame kind r =
+    Protocol.step trk (Protocol.Recv kind);
+    match kind with
+    | Transport.Ping ->
+        (* A child that can run this loop is alive by definition. *)
+        Transport.Socket.send chan ~kind:Transport.Pong (Rw.read_rest r)
+    | Transport.Err | Transport.Nack | Transport.Pong -> ()
+    | Transport.Data | Transport.Seg_put | Transport.Seg_reuse
+    | Transport.Seg_free ->
+        handle kind r
+  in
   let rec loop () =
-    match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | kind, payload ->
-        Protocol.step trk (Protocol.Recv kind);
-        (match kind with
-        | Transport.Ping ->
-            (* A child that can run this loop is alive by definition. *)
-            Transport.Socket.send chan ~kind:Transport.Pong payload
-        | Transport.Err | Transport.Nack | Transport.Pong -> ()
-        | Transport.Data | Transport.Seg_put | Transport.Seg_reuse
-        | Transport.Seg_free ->
-            handle kind payload);
-        loop ()
+    match Transport.Socket.recv_frame chan frame with
+    | Some () -> loop ()
+    | None | (exception Transport.Closed) -> Protocol.step trk Protocol.Eof
   in
   loop ()
 
@@ -177,28 +180,31 @@ let ensure_forkable () =
 (* ------------------------------------------------------------------ *)
 (* Node links.                                                         *)
 
-(* What a node answers to one task frame. *)
-type answer =
-  | Reply of Bytes.t  (** the enveloped result *)
+(* What a node answers to one task frame: the node produces its reply
+   as a message, the parent receives it as bytes. *)
+type 'reply answer =
+  | Reply of 'reply  (** the enveloped result *)
   | Raised of int * exn  (** [work] raised on this worker's slice *)
   | Refused  (** the task frame failed to decode *)
   | Died  (** the node is gone, with every frame still queued for it *)
 
 (* [send] delivers one task frame to a node; [recv] blocks for that
    node's answer to the oldest frame it has not answered yet. *)
-type link = { send : int -> Bytes.t -> unit; recv : int -> answer }
+type link = { send : int -> Codec.msg -> unit; recv : int -> Bytes.t answer }
 
 (* Remote failure report: the worker id whose task raised, plus the
    exception rendered as text (exceptions, like all code, never cross a
    socket). *)
 let err_codec = Codec.(pair int string)
 
-(* The node side of one task, shared by both links.  A planned crash
-   is a death at the planned phase: the node answers nothing more. *)
-let run_task ~task_codec ~reply_codec ~crash ~work ~node ~pool bytes =
+(* The node side of one task, shared by both links: decode the frame
+   off [r], run [work], and answer with the reply message.  A planned
+   crash is a death at the planned phase: the node answers nothing
+   more. *)
+let run_task ~task_codec ~reply_codec ~crash ~work ~node ~pool r =
   match
     Obs.span ~name:"cluster.recv" ~attrs:(node_attr node) (fun () ->
-        Codec.of_bytes task_codec bytes)
+        Codec.of_reader task_codec r)
   with
   | exception e ->
       Log.debug (fun m ->
@@ -216,24 +222,27 @@ let run_task ~task_codec ~reply_codec ~crash ~work ~node ~pool bytes =
         | exception e -> Raised (wk, e)
         | r ->
             if crash Fault.During_work || crash Fault.After_work then Died
-            else
-              Reply
-                (Obs.span ~name:"cluster.serialize" ~attrs:(node_attr wk)
-                   (fun () -> Codec.to_bytes reply_codec (wk, seq, r))))
+            else Reply (Codec.msg reply_codec (wk, seq, r)))
 
-(* In-process nodes: frames wait in a per-node queue, and a node runs
-   its oldest frame inline on the caller's pool when asked to answer. *)
+(* In-process nodes: frames wait in a per-node queue as bytes, and a
+   node runs its oldest frame inline on the caller's pool when asked to
+   answer. *)
 let inprocess_link ~nodes ~run =
   let inbox = Array.init nodes (fun _ -> Queue.create ()) in
   {
-    send = (fun node bytes -> Queue.push bytes inbox.(node));
+    send = (fun node m -> Queue.push (Codec.materialize m) inbox.(node));
     recv =
       (fun node ->
-        match run ~node (Queue.pop inbox.(node)) with
+        match run ~node (Rw.reader_of_bytes (Queue.pop inbox.(node))) with
+        | Reply m ->
+            Reply
+              (Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
+                   Codec.materialize m))
+        | Raised (wk, e) -> Raised (wk, e)
+        | Refused -> Refused
         | Died ->
             Queue.clear inbox.(node);
-            Died
-        | a -> a);
+            Died);
   }
 
 (* Forked nodes: one socket per child, read in the order the engine
@@ -262,8 +271,8 @@ let process_link fabric =
   in
   {
     send =
-      (fun node bytes ->
-        try Transport.Socket.send (chan node) bytes with Transport.Closed -> ());
+      (fun node m ->
+        try Transport.Socket.send_msg (chan node) m with Transport.Closed -> ());
     recv;
   }
 
@@ -273,7 +282,7 @@ let process_link fabric =
 (* Fault-free means this plan: nothing injected, one attempt. *)
 let fault_free = Fault.spec ~max_attempts:1 ~seed:0 ()
 
-let gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
+let gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
     ~scatter ~merge ~init =
   let fault = Fault.make spec in
   let max_attempts = spec.Fault.max_attempts in
@@ -294,8 +303,8 @@ let gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
   (* A message counts its slice or result bytes: like the frame header,
      the envelope (and its CRC) is framing.  Counted once per send
      attempt and once per reply on arrival, before any fault roll. *)
-  let count total msgs bytes =
-    let n = Bytes.length bytes - envelope_bytes in
+  let count total msgs size =
+    let n = size - envelope_bytes in
     total := !total + n;
     incr msgs;
     max_msg := max !max_msg n;
@@ -305,37 +314,48 @@ let gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
     incr corrupt_drops;
     Stats.record_corrupt_drop ()
   in
-  let deliver node bytes =
+  let deliver node m =
     if alive.(node) then begin
       inflight.(node) <- inflight.(node) + 1;
       Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
-          link.send node bytes)
+          link.send node m)
     end
   in
-  (* Each slice is built and encoded exactly once, on its first send;
+  (* Each slice is built and encoded exactly once, on its first send.
+     When streaming, the encoding goes straight into the link.  Under a
+     fault plan it is materialized, because faults act on bytes and
      retries re-send the cached bytes (dedup keys on the worker id, not
-     the seq).  The bytes are dropped as soon as they can no longer be
-     re-sent, so a fault-free call holds no slice past its send. *)
+     the seq); the bytes are dropped as soon as they can no longer be
+     re-sent. *)
   let send_scatter ~target wk =
-    let bytes =
-      match encoded.(wk) with
-      | Some bytes -> bytes
-      | None ->
-          Obs.span ~name:"cluster.serialize" ~attrs:(node_attr wk) (fun () ->
-              Stats.record_encode ();
-              Codec.to_bytes task_codec (wk, attempts.(wk) + 1, scatter wk))
-    in
     attempts.(wk) <- attempts.(wk) + 1;
-    encoded.(wk) <- (if attempts.(wk) < max_attempts then Some bytes else None);
-    count scatter_bytes scatter_msgs bytes;
+    let build () =
+      Stats.record_encode ();
+      (wk, attempts.(wk), scatter wk)
+    in
+    let serialize f = Obs.span ~name:"cluster.serialize" ~attrs:(node_attr wk) f in
     Log.debug (fun m ->
         m "scatter: worker %d -> node %d (attempt %d)" wk target attempts.(wk));
-    match Fault.decide fault ~link:(Fault.To_node target) bytes with
-    | `Drop -> ()
-    | `Deliver (bytes, delayed, dup) ->
-        if delayed then Queue.push (target, bytes) delayed_out
-        else deliver target bytes;
-        if dup then deliver target bytes
+    if stream then begin
+      let m = serialize (fun () -> Codec.msg task_codec (build ())) in
+      count scatter_bytes scatter_msgs m.Codec.size;
+      deliver target m
+    end
+    else begin
+      let bytes =
+        match encoded.(wk) with
+        | Some bytes -> bytes
+        | None -> serialize (fun () -> Codec.to_bytes task_codec (build ()))
+      in
+      encoded.(wk) <- (if attempts.(wk) < max_attempts then Some bytes else None);
+      count scatter_bytes scatter_msgs (Bytes.length bytes);
+      match Fault.decide fault ~link:(Fault.To_node target) bytes with
+      | `Drop -> ()
+      | `Deliver (bytes, delayed, dup) ->
+          let m = Codec.bytes_msg bytes in
+          if delayed then Queue.push (target, m) delayed_out else deliver target m;
+          if dup then deliver target m
+    end
   in
   let accept bytes =
     match
@@ -355,7 +375,7 @@ let gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
         decr outstanding
   in
   let arrive node bytes =
-    count gather_bytes gather_msgs bytes;
+    count gather_bytes gather_msgs (Bytes.length bytes);
     match Fault.decide fault ~link:(Fault.From_node node) bytes with
     | `Drop -> ()
     | `Deliver (bytes, delayed, dup) ->
@@ -408,7 +428,7 @@ let gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
     incr round;
     let late = Queue.create () in
     Queue.transfer delayed_in late;
-    Queue.iter (fun (node, bytes) -> deliver node bytes) delayed_out;
+    Queue.iter (fun (node, m) -> deliver node m) delayed_out;
     Queue.clear delayed_out;
     Obs.span ~name:"cluster.retry"
       ~attrs:[ ("round", string_of_int !round) ]
@@ -468,6 +488,9 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
     | None -> (fault_free, fun c -> Codec.(triple int int c))
     | Some spec -> (spec, fun c -> Codec.(checksummed (triple int int c)))
   in
+  (* Only a fault-free call streams its slices: a fault plan acts on
+     bytes, and its retries re-send them. *)
+  let stream = Option.is_none faults in
   let task_codec = envelope Payload.codec and reply_codec = envelope result_codec in
   let envelope_bytes = Bytes.length (Codec.to_bytes (envelope Codec.unit) (0, 0, ())) in
   let task ~node =
@@ -475,7 +498,7 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
         spec.Fault.crash = Some (node, phase))
   in
   let run_on link =
-    gather link ~workers ~spec ~task_codec ~reply_codec ~envelope_bytes
+    gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
       ~scatter ~merge ~init
   in
   match topo.backend with
@@ -495,15 +518,17 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
       ensure_forkable ();
       let child ~id chan =
         let pool = lazy (Pool.create ~workers:topo.cores_per_node ()) in
-        serve ~id chan (fun kind bytes ->
+        serve ~id chan (fun kind r ->
             match kind with
             | Transport.Data -> (
-                match task ~node:id ~pool:(Lazy.force pool) bytes with
-                | Reply r -> Transport.Socket.send chan r
+                match task ~node:id ~pool:(Lazy.force pool) r with
+                | Reply m ->
+                    Obs.span ~name:"cluster.send" ~attrs:(node_attr id) (fun () ->
+                        Transport.Socket.send_msg chan m)
                 | Refused -> Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty
                 | Raised (wk, e) ->
-                    Transport.Socket.send chan ~kind:Transport.Err
-                      (Codec.to_bytes err_codec (wk, Printexc.to_string e))
+                    Transport.Socket.send_msg chan ~kind:Transport.Err
+                      (Codec.msg err_codec (wk, Printexc.to_string e))
                 | Died -> Unix._exit 0)
             | _ -> (* segment residency belongs to Darray sessions *) ())
       in

@@ -137,11 +137,13 @@ val serve :
   ?tag:string ->
   id:int ->
   Transport.Socket.t ->
-  (Transport.kind -> Bytes.t -> unit) ->
+  (Transport.kind -> Triolet_base.Rw.reader -> unit) ->
   unit
 (** [serve ~id chan handle] is the child serve loop every forked
     runtime runs: it records [id] for {!on_node}, reads frames until
     EOF while replaying them on a {!Protocol} child tracker (named
     [tag ^ string_of_int id]), answers [Ping] with [Pong], drops
     [Err]/[Nack]/[Pong], and passes [Data] and segment frames to
-    [handle], which replies on [chan] itself. *)
+    [handle], which replies on [chan] itself.  [handle] reads the frame
+    off the socket through the given reader (bounded by the frame);
+    bytes it leaves unread are discarded. *)

@@ -134,14 +134,14 @@ let serve ~work ~id chan =
     Transport.Socket.send chan ~kind:Transport.Nack
       (Codec.to_bytes nack_codec key)
   in
-  Cluster.serve ~tag:"darray-" ~id chan (fun kind bytes ->
+  Cluster.serve ~tag:"darray-" ~id chan (fun kind r ->
       match kind with
       | Transport.Seg_put -> (
-          match Codec.of_bytes put_codec bytes with
+          match Codec.of_reader put_codec r with
           | exception _ -> nack nack_task
           | (did, seg, ver), payload -> Hashtbl.replace table (did, seg) (ver, payload))
       | Transport.Seg_reuse -> (
-          match Codec.of_bytes reuse_codec bytes with
+          match Codec.of_reader reuse_codec r with
           | exception _ -> nack nack_task
           | (did, seg, ver) as key -> (
               match Hashtbl.find_opt table (did, seg) with
@@ -151,7 +151,7 @@ let serve ~work ~id chan =
                      loudly so the parent replays the put. *)
                   nack key))
       | Transport.Seg_free -> (
-          match Codec.of_bytes free_codec bytes with
+          match Codec.of_reader free_codec r with
           | exception _ -> ()
           | did ->
               Hashtbl.filter_map_inplace
@@ -159,7 +159,7 @@ let serve ~work ~id chan =
                 table)
       | _ -> (
           (* a [Data] frame: one task *)
-          match Codec.of_bytes task_codec bytes with
+          match Codec.of_reader task_codec r with
           | exception _ -> nack nack_task
           | seq, keys, arg -> (
               (* Re-check every expected key before computing: a task that

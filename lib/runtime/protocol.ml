@@ -91,11 +91,16 @@ let kind_of_byte = function
 let header_len = 5
 let max_frame_payload = 1 lsl 30
 
+let write_header buf off ~len kind =
+  if len < 0 || len > max_frame_payload then
+    invalid_arg (Printf.sprintf "Protocol.write_header: payload length %d" len);
+  Bytes.set_int32_be buf off (Int32.of_int len);
+  Bytes.set buf (off + 4) (kind_to_byte kind)
+
 let encode_frame ?(kind = Data) payload =
   let len = Bytes.length payload in
   let frame = Bytes.create (header_len + len) in
-  Bytes.set_int32_be frame 0 (Int32.of_int len);
-  Bytes.set frame 4 (kind_to_byte kind);
+  write_header frame 0 ~len kind;
   Bytes.blit payload 0 frame header_len len;
   frame
 

@@ -38,6 +38,11 @@ val max_frame_payload : int
 (** Upper bound on a sane payload length; longer claims are treated as
     stream corruption ({!Bad_frame}), not allocation requests. *)
 
+val write_header : Bytes.t -> int -> len:int -> kind -> unit
+(** [write_header buf off ~len kind] stores the {!header_len}-byte
+    header of a frame whose payload is [len] bytes.  Raises
+    [Invalid_argument] if [len] is outside [0, max_frame_payload]. *)
+
 val encode_frame : ?kind:kind -> Bytes.t -> Bytes.t
 (** [encode_frame ?kind payload] is the full wire frame
     (header + payload).  [kind] defaults to [Data]. *)

@@ -151,10 +151,10 @@ let drain_wake t =
 let serve_loop ~cores_per_node ~work ~id chan =
   let pool = lazy (Pool.create ~workers:cores_per_node ()) in
   let reply ?kind bytes = Transport.Socket.send chan ?kind bytes in
-  Cluster.serve ~id chan (fun kind bytes ->
+  Cluster.serve ~id chan (fun kind r ->
       match kind with
       | Transport.Data -> (
-          match Codec.of_bytes task_codec bytes with
+          match Codec.of_reader task_codec r with
           | exception _ -> reply ~kind:Transport.Nack Bytes.empty
           | (req, slice, seq), (deadline_ns, payload) -> (
               if deadline_ns > 0 && Clock.monotonic_ns () > deadline_ns then

@@ -333,6 +333,189 @@ let prop_codec_size =
       let c = Codec.list (Codec.pair Codec.int Codec.string) in
       Bytes.length (Codec.to_bytes c l) = c.Codec.size l)
 
+(* ------------------------------------------------------------------ *)
+(* Streaming writer and reader                                         *)
+
+let payload_gen : Payload.t QCheck2.Gen.t =
+  QCheck2.Gen.(
+    list_size (int_bound 4)
+      (oneof
+         [
+           map
+             (fun l -> Payload.Floats (Float.Array.of_list l))
+             (list_size (int_bound 40) (float_range (-1e6) 1e6));
+           map (fun l -> Payload.Ints (Array.of_list l)) (small_list int);
+           map (fun s -> Payload.Raw s) (string_size (int_bound 40));
+         ]))
+
+(* The payload codec bare and inside each envelope. *)
+let envelopes =
+  [
+    ("plain", Payload.codec);
+    ("checksummed", Codec.checksummed Payload.codec);
+    ("versioned", Codec.versioned ~version:3 Payload.codec);
+  ]
+
+(* Encode through a streaming writer whose [cap]-byte buffer flushes
+   into [out] mid-header and mid-float. *)
+let sink_encode ~cap (c : _ Codec.t) v =
+  let out = Buffer.create 64 in
+  let w =
+    Rw.create_writer ~capacity:cap
+      ~flush:(fun b off len -> Buffer.add_subbytes out b off len)
+      ()
+  in
+  c.Codec.encode w v;
+  Rw.flush w;
+  Buffer.to_bytes out
+
+(* A reader over [bytes] through a [buf]-byte buffer, fed by a source
+   that hands out short reads of 1..[k] bytes. *)
+let chunked_reader ~buf ~k ~seed bytes =
+  let rng = Random.State.make [| seed |] in
+  let pos = ref 0 in
+  Rw.reader_of_source (Bytes.create buf) ~len:(Bytes.length bytes) (fun dst off n ->
+      let m = min n (1 + Random.State.int rng k) in
+      Bytes.blit bytes !pos dst off m;
+      pos := !pos + m;
+      m)
+
+let prop_sink_writer_equiv =
+  qtest "sink writer bytes = to_bytes"
+    QCheck2.Gen.(pair payload_gen (int_range 1 64))
+    (fun (p, cap) ->
+      List.for_all
+        (fun (_, c) -> Bytes.equal (sink_encode ~cap c p) (Codec.to_bytes c p))
+        envelopes)
+
+let prop_short_reads_equiv =
+  qtest "short-read decode = of_bytes"
+    QCheck2.Gen.(quad payload_gen (int_range 1 64) (int_range 1 16) int)
+    (fun (p, buf, k, seed) ->
+      List.for_all
+        (fun (_, c) ->
+          let bytes = Codec.to_bytes c p in
+          let streamed = Codec.of_reader c (chunked_reader ~buf ~k ~seed bytes) in
+          Bytes.equal (Codec.to_bytes c streamed)
+            (Codec.to_bytes c (Codec.of_bytes c bytes)))
+        envelopes)
+
+let test_rw_stream_big_block () =
+  (* Blocks longer than the buffer bypass it on both sides. *)
+  let a = Float.Array.init 5000 float_of_int in
+  let s = String.init 3000 (fun i -> Char.chr (i land 0xff)) in
+  let p = [ Payload.Floats a; Payload.Raw s; Payload.Ints [| 7 |] ] in
+  let bytes = sink_encode ~cap:512 Payload.codec p in
+  Alcotest.(check bool) "sink = to_bytes" true
+    (Bytes.equal bytes (Codec.to_bytes Payload.codec p));
+  let r = chunked_reader ~buf:512 ~k:4096 ~seed:1 bytes in
+  Alcotest.(check bool) "streamed decode" true (Codec.of_reader Payload.codec r = p);
+  let r = chunked_reader ~buf:16 ~k:64 ~seed:2 bytes in
+  Alcotest.(check bool) "read_rest" true (Bytes.equal (Rw.read_rest r) bytes);
+  let r = chunked_reader ~buf:16 ~k:64 ~seed:3 bytes in
+  ignore (Rw.read_int r);
+  Rw.skip_rest r;
+  check_int "skip_rest drains" 0 (Rw.remaining r)
+
+let prop_block_fallback_equiv =
+  let bits_gen = QCheck2.Gen.(map Int64.float_of_bits ui64) in
+  qtest "block copy: memcpy stub = portable loop"
+    QCheck2.Gen.(
+      quad (list_size (int_range 1 64) bits_gen) nat nat (int_bound 16))
+    (fun (l, ai, bi, pad) ->
+      let a = Float.Array.of_list l in
+      let len = Float.Array.length a in
+      let ai = ai mod len in
+      let n = len - ai and bi = bi mod 16 in
+      let b1 = Bytes.make ((8 * n) + bi + pad) 'x' in
+      let b2 = Bytes.copy b1 in
+      Rw.Block.floats_to_bytes a ai b1 bi n;
+      Rw.Block.portable_floats_to_bytes a ai b2 bi n;
+      let f1 = Float.Array.make (len + pad) 0.0 in
+      let f2 = Float.Array.make (len + pad) 0.0 in
+      Rw.Block.bytes_to_floats b1 bi f1 pad n;
+      Rw.Block.portable_bytes_to_floats b1 bi f2 pad n;
+      let bits f = List.map Int64.bits_of_float (Float.Array.to_list f) in
+      Bytes.equal b1 b2 && bits f1 = bits f2
+      && bits (Float.Array.sub f1 pad n) = bits (Float.Array.sub a ai n))
+
+let test_block_bounds () =
+  let a = Float.Array.make 4 1.0 and b = Bytes.create 32 in
+  Alcotest.check_raises "array overrun" (Invalid_argument "Rw.Block.floats_to_bytes")
+    (fun () -> Rw.Block.floats_to_bytes a 1 b 0 4);
+  Alcotest.check_raises "bytes overrun" (Invalid_argument "Rw.Block.bytes_to_floats")
+    (fun () -> Rw.Block.bytes_to_floats b 1 a 0 4)
+
+(* ------------------------------------------------------------------ *)
+(* Decoders on hostile input                                           *)
+
+(* The only ways a decoder may reject bytes. *)
+let rejects_cleanly f =
+  match f () with
+  | _ -> true
+  | exception (Rw.Underflow | Codec.Trailing_bytes _ | Codec.Checksum_mismatch _) ->
+      true
+
+let decodes_cleanly ~seed bytes =
+  List.for_all
+    (fun c ->
+      rejects_cleanly (fun () -> Codec.of_bytes c bytes)
+      && rejects_cleanly (fun () ->
+             Codec.of_reader c (chunked_reader ~buf:32 ~k:16 ~seed bytes)))
+    [ Payload.codec; Codec.checksummed Payload.codec ]
+
+(* Offsets of every length field in a payload encoding: the list count,
+   then each buffer's, after its tag byte. *)
+let length_fields (p : Payload.t) =
+  let _, offs =
+    List.fold_left
+      (fun (off, acc) b -> (off + Payload.size [ b ] - 8, (off + 1) :: acc))
+      (8, [ 0 ]) p
+  in
+  offs
+
+let hostile_lengths = [ 1 lsl 60; max_int; min_int; -1; 1 lsl 32; 3 ]
+
+let test_decode_bad_lengths () =
+  let frame tag n =
+    let w = Rw.create_writer () in
+    Rw.write_int w 1;
+    Rw.write_u8 w tag;
+    Rw.write_int w n;
+    Rw.contents w
+  in
+  List.iter
+    (fun tag ->
+      List.iter
+        (fun n ->
+          Alcotest.check_raises
+            (Printf.sprintf "tag %d, n = %d" tag n)
+            Rw.Underflow
+            (fun () -> ignore (Codec.of_bytes Payload.codec (frame tag n))))
+        hostile_lengths)
+    [ 0; 1; 2 ];
+  let w = Rw.create_writer () in
+  Rw.write_int w max_int;
+  Alcotest.check_raises "list count" Rw.Underflow (fun () ->
+      ignore (Codec.of_bytes (Codec.list Codec.int) (Rw.contents w)));
+  Alcotest.check_raises "array count" Rw.Underflow (fun () ->
+      ignore (Codec.of_bytes (Codec.array Codec.int) (Rw.contents w)))
+
+let prop_fuzz_random_bytes =
+  qtest "fuzz: random bytes reject cleanly"
+    QCheck2.Gen.(pair (bytes_size (int_bound 96)) int)
+    (fun (b, seed) -> decodes_cleanly ~seed b)
+
+let prop_fuzz_mutated_lengths =
+  qtest "fuzz: mutated length fields reject cleanly"
+    QCheck2.Gen.(quad payload_gen nat (oneof [ oneofl hostile_lengths; int ]) int)
+    (fun (p, pick, n, seed) ->
+      let bytes = Codec.to_bytes Payload.codec p in
+      let offs = length_fields p in
+      let off = List.nth offs (pick mod List.length offs) in
+      Bytes.set_int64_le bytes off (Int64.of_int n);
+      decodes_cleanly ~seed bytes)
+
 let prop_vec_matches_list =
   qtest "vec behaves like list append"
     QCheck2.Gen.(list int)
@@ -356,6 +539,17 @@ let () =
           Alcotest.test_case "zero-copy reader bounded" `Quick
             test_rw_reader_of_writer_bounded;
           Alcotest.test_case "detach" `Quick test_rw_detach;
+          Alcotest.test_case "stream big blocks" `Quick test_rw_stream_big_block;
+          Alcotest.test_case "block bounds" `Quick test_block_bounds;
+          prop_sink_writer_equiv;
+          prop_short_reads_equiv;
+          prop_block_fallback_equiv;
+        ] );
+      ( "decode-fuzz",
+        [
+          Alcotest.test_case "bad lengths" `Quick test_decode_bad_lengths;
+          prop_fuzz_random_bytes;
+          prop_fuzz_mutated_lengths;
         ] );
       ( "codec",
         [

@@ -138,6 +138,116 @@ let test_ping_pong_frames () =
       Alcotest.(check string) "payload" "bh" (Bytes.to_string payload))
 
 (* ------------------------------------------------------------------ *)
+(* Streamed framing over a socketpair                                   *)
+
+(* A codec whose declared size is off by [delta] bytes from what it
+   writes. *)
+let lying_codec delta =
+  { Codec.floatarray with Codec.size = (fun a -> Codec.floatarray.Codec.size a + delta) }
+
+let floats n = Float.Array.init n (fun i -> float_of_int i)
+
+(* Receive on [b] in a thread, so a frame larger than the kernel's
+   socket buffers cannot block the sender. *)
+let recv_async b =
+  let got = ref None in
+  let t =
+    Thread.create
+      (fun () ->
+        got :=
+          Some
+            (match Transport.Socket.recv b with
+            | kind, payload -> `Frame (kind, payload)
+            | exception Transport.Closed -> `Closed))
+      ()
+  in
+  fun () ->
+    Thread.join t;
+    Option.get !got
+
+let mismatch_raised f =
+  match f () with
+  | () -> None
+  | exception Codec.Size_mismatch { declared; written } -> Some (declared, written)
+
+(* A short frame is checked before any byte leaves: the send raises and
+   the endpoint carries the next frame as if nothing happened. *)
+let test_size_mismatch_small () =
+  let a, b = Transport.Socket.connect () in
+  Fun.protect
+    ~finally:(fun () -> Transport.Socket.close a; Transport.Socket.close b)
+    (fun () ->
+      let v = floats 4 in
+      List.iter
+        (fun delta ->
+          let declared = Codec.floatarray.Codec.size v + delta in
+          Alcotest.(check (option (pair int int)))
+            (Printf.sprintf "delta %d raises" delta)
+            (Some (declared, declared - delta))
+            (mismatch_raised (fun () ->
+                 Transport.Socket.send_msg a (Codec.msg (lying_codec delta) v))))
+        [ 8; -8 ];
+      Transport.Socket.send_msg a (Codec.msg Codec.floatarray v);
+      let kind, payload = Transport.Socket.recv b in
+      check_bool "next frame is the good one" true
+        (kind = Transport.Data && Codec.of_bytes Codec.floatarray payload = v))
+
+(* A frame longer than the endpoint's buffer has partly left by the
+   time the lie shows: the peer must see a truncated frame (Closed),
+   never a misframed one. *)
+let test_size_mismatch_large () =
+  List.iter
+    (fun delta ->
+      let a, b = Transport.Socket.connect () in
+      Fun.protect
+        ~finally:(fun () -> Transport.Socket.close a; Transport.Socket.close b)
+        (fun () ->
+          let peer = recv_async b in
+          let v = floats 40_000 in
+          check_bool
+            (Printf.sprintf "delta %d raises" delta)
+            true
+            (mismatch_raised (fun () ->
+                 Transport.Socket.send_msg a (Codec.msg (lying_codec delta) v))
+            <> None);
+          check_bool
+            (Printf.sprintf "delta %d: peer reads a truncated frame" delta)
+            true
+            (peer () = `Closed)))
+    [ 80_000; -80_000 ]
+
+(* Large and small frames stream through the endpoint's fixed buffer in
+   both directions, with the receiver decoding straight off the
+   socket. *)
+let test_streamed_frames () =
+  let a, b = Transport.Socket.connect () in
+  Fun.protect
+    ~finally:(fun () -> Transport.Socket.close a; Transport.Socket.close b)
+    (fun () ->
+      let fit = Transport.Socket.buffer_bytes / 8 in
+      let sizes = [ 0; 1; fit - 2; fit - 1; fit; 100_000; 3 ] in
+      let sender =
+        Thread.create
+          (fun () ->
+            List.iter
+              (fun n ->
+                Transport.Socket.send_msg a
+                  (Codec.msg Payload.codec [ Payload.Floats (floats n); Payload.Raw "tail" ]))
+              sizes)
+          ()
+      in
+      List.iter
+        (fun n ->
+          match
+            Transport.Socket.recv_frame b (fun _ r -> Codec.of_reader Payload.codec r)
+          with
+          | Some [ Payload.Floats f; Payload.Raw "tail" ] ->
+              check_bool (Printf.sprintf "%d floats intact" n) true (f = floats n)
+          | _ -> Alcotest.fail "frame lost or reshaped")
+        sizes;
+      Thread.join sender)
+
+(* ------------------------------------------------------------------ *)
 (* Cross-backend equivalence: identical results and identical payload
    accounting on the clean path.                                        *)
 
@@ -469,6 +579,14 @@ let () =
             test_shutdown_with_dying_child;
           Alcotest.test_case "kill and respawn" `Quick test_kill_respawn_echo;
           Alcotest.test_case "ping/pong frames" `Quick test_ping_pong_frames;
+        ] );
+      ( "socket-stream",
+        [
+          Alcotest.test_case "size mismatch, short frame" `Quick
+            test_size_mismatch_small;
+          Alcotest.test_case "size mismatch, long frame" `Quick
+            test_size_mismatch_large;
+          Alcotest.test_case "streamed frames" `Quick test_streamed_frames;
         ] );
       ( "cross-backend",
         [
