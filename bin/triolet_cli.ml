@@ -410,7 +410,7 @@ let demo_cmd =
     | Some path ->
         Obs.disable ();
         Obs.write_trace path;
-        Format.printf "%a" Obs.pp_aggregates (Obs.aggregates ());
+        Format.printf "%a@?" Obs.pp_aggregates (Obs.aggregates ());
         (* The cluster phases partition Cluster.run_topology end to end, so
            their totals should account for nearly all of the wall time
            of a distributed run. *)
@@ -424,10 +424,15 @@ let demo_cmd =
         Printf.printf "wrote %s (%d events, %d dropped)\n" path
           (List.length (Obs.events ()))
           (Obs.dropped_spans ());
-        Printf.printf
-          "cluster phase coverage: %.1f%% of %.2f ms wall\n"
-          (100.0 *. float_of_int covered /. float_of_int wall_ns)
-          (float_of_int wall_ns /. 1e6));
+        let share ns = 100.0 *. float_of_int ns /. float_of_int wall_ns in
+        Printf.printf "cluster phase coverage: %.1f%% of %.2f ms wall\n"
+          (share covered)
+          (float_of_int wall_ns /. 1e6);
+        (* One line per phase, "share <phase> <percent>%": CI gates the
+           serialize share on these. *)
+        List.iter
+          (fun p -> Printf.printf "share %-18s %5.1f%%\n" p (share (Obs.agg_total p)))
+          cluster_phases);
     Triolet.Exec.set_ambient (Triolet.Exec.make ~faults:None ());
     0
   in

@@ -97,7 +97,8 @@ let fusion (p : Plan.t) : finding list =
    may alias the sender's memory — an aliased payload only "decodes"
    in-process because the receiver was handed the sender's pointer; over
    a real transport (the process backend) it is a silent correctness
-   bug, so it is a hard error here. *)
+   bug, so it is a hard error here.  So is a payload whose bytes differ
+   from those of the borrowed slice the engine actually encodes. *)
 
 let slice_to_string = function
   | Plan.Slice_1d { off; len } -> Printf.sprintf "slice [%d, %d)" off (off + len)
@@ -143,6 +144,14 @@ let serialization (p : Plan.t) : finding list =
               in-process — over a real transport (--backend=process) the \
               receiver gets serialized bytes and the sharing assumption \
               breaks"
+             where);
+      if t.Plan.slice_mismatch then
+        add Error
+          (Printf.sprintf
+             "payload for %s: the slice a distributed run encodes \
+              (slice_of) and the payload (payload_of) encode to different \
+              bytes, so the run ships other data than the analyzer \
+              inspected"
              where))
     p.Plan.tasks;
   if !raw_tasks > 0 then

@@ -9,6 +9,8 @@
     instead of the opaque closures. *)
 
 open Triolet
+module Codec = Triolet_base.Codec
+module Payload = Triolet_base.Payload
 
 type space = Space_1d of int | Space_2d of { rows : int; cols : int }
 
@@ -35,6 +37,10 @@ type task = {
           the receiver gets bytes, and any in-place mutation or
           identity assumption breaks.  Detected by extracting twice and
           comparing buffers for physical equality. *)
+  slice_mismatch : bool;
+      (** [slice_of] and [payload_of] encode to different bytes: what a
+          distributed run ships differs from the payload the other
+          probes inspect. *)
 }
 
 type partition =
@@ -92,7 +98,14 @@ let phys_alias b1 b2 =
       String.length s > 0 && s == r
   | _ -> false
 
-let probe_payload extract =
+(* The engine encodes the borrowed slice; the payload must encode to
+   the same bytes. *)
+let encodings_differ slice p =
+  match Codec.to_bytes Payload.slice_codec (slice ()) with
+  | bytes -> not (Bytes.equal bytes (Codec.to_bytes Payload.codec p))
+  | exception _ -> true
+
+let probe_payload ~slice extract =
   match extract () with
   | p ->
       let aliased =
@@ -100,8 +113,8 @@ let probe_payload extract =
         | p2 -> List.length p = List.length p2 && List.exists2 phys_alias p p2
         | exception _ -> false
       in
-      (Some (Ok (List.map buf_summary_of p)), aliased)
-  | exception e -> (Some (Error (Printexc.to_string e)), false)
+      (Some (Ok (List.map buf_summary_of p)), aliased, encodings_differ slice p)
+  | exception e -> (Some (Error (Printexc.to_string e)), false, false)
 
 let local_workers () =
   Triolet_runtime.Pool.size (Triolet_runtime.Pool.default ())
@@ -131,7 +144,7 @@ let of_iter ~name (it : 'a Iter.t) : t =
           1,
           [
             { slice = Slice_1d { off = 0; len }; payload = None;
-              aliased = false };
+              aliased = false; slice_mismatch = false };
           ] )
     | Iter.Local ->
         let workers = local_workers () in
@@ -140,7 +153,7 @@ let of_iter ~name (it : 'a Iter.t) : t =
           workers,
           [
             { slice = Slice_1d { off = 0; len }; payload = None;
-              aliased = false };
+              aliased = false; slice_mismatch = false };
           ] )
     | Iter.Distributed ->
         let workers = distributed_workers () in
@@ -148,10 +161,13 @@ let of_iter ~name (it : 'a Iter.t) : t =
         let tasks =
           Array.to_list blocks
           |> List.map (fun (off, n) ->
-                 let payload, aliased =
-                   probe_payload (fun () -> it.Iter.payload_of off n)
+                 let payload, aliased, slice_mismatch =
+                   probe_payload
+                     ~slice:(fun () -> it.Iter.slice_of off n)
+                     (fun () -> it.Iter.payload_of off n)
                  in
-                 { slice = Slice_1d { off; len = n }; payload; aliased })
+                 { slice = Slice_1d { off; len = n }; payload; aliased;
+                   slice_mismatch })
         in
         (Static_blocks blocks, workers, tasks)
   in
@@ -169,6 +185,7 @@ let of_iter2 ~name (it : 'a Iter2.t) : t =
       slice = Slice_2d { r0 = 0; nr = rows; c0 = 0; nc = cols };
       payload = None;
       aliased = false;
+      slice_mismatch = false;
     }
   in
   let partition, workers, tasks =
@@ -189,11 +206,13 @@ let of_iter2 ~name (it : 'a Iter2.t) : t =
         let tasks =
           Array.to_list blocks
           |> List.map (fun (r0, nr, c0, nc) ->
-                 let payload, aliased =
-                   probe_payload (fun () ->
-                       Iter2.payload_slice it ~r0 ~nr ~c0 ~nc)
+                 let payload, aliased, slice_mismatch =
+                   probe_payload
+                     ~slice:(fun () -> Iter2.block_slice it ~r0 ~nr ~c0 ~nc)
+                     (fun () -> Iter2.payload_slice it ~r0 ~nr ~c0 ~nc)
                  in
-                 { slice = Slice_2d { r0; nr; c0; nc }; payload; aliased })
+                 { slice = Slice_2d { r0; nr; c0; nc }; payload; aliased;
+                   slice_mismatch })
         in
         (Static_grid { row_parts = rp; col_parts = cp; blocks }, workers, tasks)
   in

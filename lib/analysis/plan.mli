@@ -28,6 +28,10 @@ type task = {
           sender's memory (detected by extracting twice and comparing
           with [==]); such a payload only decodes in-process and is a
           hard error under a real transport. *)
+  slice_mismatch : bool;
+      (** the borrowed slice the engine encodes ([slice_of]) and the
+          owned payload ([payload_of]) encode to different bytes; also
+          a hard error. *)
 }
 
 type partition =

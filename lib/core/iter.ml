@@ -24,8 +24,11 @@ type 'a t = {
   local : int -> int -> 'a Seq_iter.t;
       (** [local off n] : in-place loop nest for outer range [off, off+n) *)
   width : int;  (** number of payload buffers this iterator contributes *)
+  slice_of : int -> int -> Payload.slice;
+      (** [slice_of off n] : the data slice for that range, borrowed
+          from the source's arrays *)
   payload_of : int -> int -> Payload.t;
-      (** [payload_of off n] : extracted data slice for that range *)
+      (** [slice_of], copied: always [Payload.own (slice_of off n)] *)
   rebuild : Payload.t -> 'a t;
       (** rebuild an iterator over a shipped slice (always [Local]) *)
 }
@@ -33,10 +36,23 @@ type 'a t = {
 let hint t = t.hint
 let length t = t.len
 
+(* Every iterator with a new [slice_of] is built here: the one place
+   [payload_of] is derived. *)
+let sliced ~hint ~len ~local ~width ~slice_of ~rebuild =
+  {
+    hint;
+    len;
+    local;
+    width;
+    slice_of;
+    payload_of = (fun off n -> Payload.own (slice_of off n));
+    rebuild;
+  }
+
 (** Escape hatch for substrate libraries ([Matrix.rows], [Iter2]) that
     define their own sliceable sources. *)
-let make ~len ~local ~width ~payload_of ~rebuild =
-  { hint = Sequential; len; local; width; payload_of; rebuild }
+let make ~len ~local ~width ~slice_of ~rebuild =
+  sliced ~hint:Sequential ~len ~local ~width ~slice_of ~rebuild
 
 let no_payload name _ _ =
   invalid_arg
@@ -48,69 +64,53 @@ let no_payload name _ _ =
 (* Sources                                                             *)
 
 let rec of_floatarray (a : floatarray) =
-  {
-    hint = Sequential;
-    len = Float.Array.length a;
-    local =
-      (fun off n ->
-        Seq_iter.of_indexer (Indexer.slice (Indexer.of_floatarray a) off n));
-    width = 1;
-    payload_of = (fun off n -> [ Payload.Floats (Float.Array.sub a off n) ]);
-    rebuild =
-      (fun p ->
-        match p with
-        | [ b ] -> { (of_floatarray (Payload.floats_exn b)) with hint = Local }
-        | _ -> invalid_arg "Iter.of_floatarray: bad payload");
-  }
+  make ~len:(Float.Array.length a)
+    ~local:(fun off n ->
+      Seq_iter.of_indexer (Indexer.slice (Indexer.of_floatarray a) off n))
+    ~width:1
+    ~slice_of:(fun off n -> [ Payload.Float_range (a, off, n) ])
+    ~rebuild:(fun p ->
+      match p with
+      | [ b ] -> { (of_floatarray (Payload.floats_exn b)) with hint = Local }
+      | _ -> invalid_arg "Iter.of_floatarray: bad payload")
 
 let rec of_int_array (a : int array) =
-  {
-    hint = Sequential;
-    len = Array.length a;
-    local =
-      (fun off n ->
-        Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n));
-    width = 1;
-    payload_of = (fun off n -> [ Payload.Ints (Array.sub a off n) ]);
-    rebuild =
-      (fun p ->
-        match p with
-        | [ b ] -> { (of_int_array (Payload.ints_exn b)) with hint = Local }
-        | _ -> invalid_arg "Iter.of_int_array: bad payload");
-  }
+  make ~len:(Array.length a)
+    ~local:(fun off n ->
+      Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n))
+    ~width:1
+    ~slice_of:(fun off n -> [ Payload.Int_range (a, off, n) ])
+    ~rebuild:(fun p ->
+      match p with
+      | [ b ] -> { (of_int_array (Payload.ints_exn b)) with hint = Local }
+      | _ -> invalid_arg "Iter.of_int_array: bad payload")
 
 (** Generic boxed array.  A [codec] is required only if the iterator is
     consumed with distributed parallelism. *)
 let of_array ?codec (a : 'a array) =
   let rec build (a : 'a array) =
-    {
-      hint = Sequential;
-      len = Array.length a;
-      local =
-        (fun off n ->
-          Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n));
-      width = 1;
-      payload_of =
-        (fun off n ->
-          match codec with
-          | None -> no_payload "of_array (no codec)" off n
-          | Some c ->
-              [
-                Payload.Raw
-                  (Bytes.unsafe_to_string
-                     (Codec.to_bytes (Codec.array c) (Array.sub a off n)));
-              ]);
-      rebuild =
-        (fun p ->
-          match (p, codec) with
-          | [ b ], Some c ->
-              let sub =
-                Codec.of_bytes (Codec.array c)
-                  (Bytes.unsafe_of_string (Payload.raw_exn b))
-              in
-              { (build sub) with hint = Local }
-          | _ -> invalid_arg "Iter.of_array: bad payload");
-    }
+    make ~len:(Array.length a)
+      ~local:(fun off n ->
+        Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n))
+      ~width:1
+      ~slice_of:(fun off n ->
+        match codec with
+        | None -> no_payload "of_array (no codec)" off n
+        | Some c ->
+            [
+              Payload.Raw_bytes
+                (Bytes.unsafe_to_string
+                   (Codec.to_bytes (Codec.array c) (Array.sub a off n)));
+            ])
+      ~rebuild:(fun p ->
+        match (p, codec) with
+        | [ b ], Some c ->
+            let sub =
+              Codec.of_bytes (Codec.array c)
+                (Bytes.unsafe_of_string (Payload.raw_exn b))
+            in
+            { (build sub) with hint = Local }
+        | _ -> invalid_arg "Iter.of_array: bad payload")
   in
   build a
 
@@ -121,20 +121,17 @@ let of_list ?codec l = of_array ?codec (Array.of_list l)
 (** Iterator over the integers [lo, hi). *)
 let rec range lo hi =
   if hi < lo then invalid_arg "Iter.range";
-  {
-    hint = Sequential;
-    len = hi - lo;
-    local = (fun off n -> Seq_iter.range (lo + off) (lo + off + n));
-    width = 1;
-    payload_of = (fun off n -> [ Payload.Ints [| lo + off; lo + off + n |] ]);
-    rebuild =
-      (fun p ->
-        match p with
-        | [ b ] ->
-            let bounds = Payload.ints_exn b in
-            { (range bounds.(0) bounds.(1)) with hint = Local }
-        | _ -> invalid_arg "Iter.range: bad payload");
-  }
+  make ~len:(hi - lo)
+    ~local:(fun off n -> Seq_iter.range (lo + off) (lo + off + n))
+    ~width:1
+    ~slice_of:(fun off n ->
+      [ Payload.Int_range ([| lo + off; lo + off + n |], 0, 2) ])
+    ~rebuild:(fun p ->
+      match p with
+      | [ b ] ->
+          let bounds = Payload.ints_exn b in
+          { (range bounds.(0) bounds.(1)) with hint = Local }
+      | _ -> invalid_arg "Iter.range: bad payload")
 
 (** [indices it] are the outer indices of [it]: the paper's
     [indices(domain(rand))]. *)
@@ -162,11 +159,8 @@ let rec filter p t =
     partitionable. *)
 let rec concat_map f t =
   {
-    hint = t.hint;
-    len = t.len;
+    t with
     local = (fun off n -> Seq_iter.concat_map f (t.local off n));
-    width = t.width;
-    payload_of = t.payload_of;
     rebuild = (fun p -> concat_map f (t.rebuild p));
   }
 
@@ -182,43 +176,31 @@ let split_payload w p =
   in
   take w p
 
+let join_hint a b =
+  match (a, b) with
+  | Distributed, _ | _, Distributed -> Distributed
+  | Local, _ | _, Local -> Local
+  | Sequential, Sequential -> Sequential
+
 let rec zip a b =
-  let len = min a.len b.len in
-  {
-    hint =
-      (match (a.hint, b.hint) with
-      | Distributed, _ | _, Distributed -> Distributed
-      | Local, _ | _, Local -> Local
-      | Sequential, Sequential -> Sequential);
-    len;
-    local = (fun off n -> Seq_iter.zip (a.local off n) (b.local off n));
-    width = a.width + b.width;
-    payload_of = (fun off n -> a.payload_of off n @ b.payload_of off n);
-    rebuild =
-      (fun p ->
-        let pa, pb = split_payload a.width p in
-        zip (a.rebuild pa) (b.rebuild pb));
-  }
+  sliced ~hint:(join_hint a.hint b.hint) ~len:(min a.len b.len)
+    ~local:(fun off n -> Seq_iter.zip (a.local off n) (b.local off n))
+    ~width:(a.width + b.width)
+    ~slice_of:(fun off n -> a.slice_of off n @ b.slice_of off n)
+    ~rebuild:(fun p ->
+      let pa, pb = split_payload a.width p in
+      zip (a.rebuild pa) (b.rebuild pb))
 
 (** Like [zip] but applies [f] directly to the paired elements, so no
     intermediate tuple is allocated per element on the hot path. *)
 let rec zip_with f a b =
-  let len = min a.len b.len in
-  {
-    hint =
-      (match (a.hint, b.hint) with
-      | Distributed, _ | _, Distributed -> Distributed
-      | Local, _ | _, Local -> Local
-      | Sequential, Sequential -> Sequential);
-    len;
-    local = (fun off n -> Seq_iter.zip_with f (a.local off n) (b.local off n));
-    width = a.width + b.width;
-    payload_of = (fun off n -> a.payload_of off n @ b.payload_of off n);
-    rebuild =
-      (fun p ->
-        let pa, pb = split_payload a.width p in
-        zip_with f (a.rebuild pa) (b.rebuild pb));
-  }
+  sliced ~hint:(join_hint a.hint b.hint) ~len:(min a.len b.len)
+    ~local:(fun off n -> Seq_iter.zip_with f (a.local off n) (b.local off n))
+    ~width:(a.width + b.width)
+    ~slice_of:(fun off n -> a.slice_of off n @ b.slice_of off n)
+    ~rebuild:(fun p ->
+      let pa, pb = split_payload a.width p in
+      zip_with f (a.rebuild pa) (b.rebuild pb))
 
 let zip3 a b c = zip_with (fun x (y, z) -> (x, y, z)) a (zip b c)
 
@@ -252,7 +234,7 @@ let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
         ~chunk:(fun off n -> of_chunk (t.local off n))
         ~merge ~init ()
   | Distributed ->
-      Skeletons.distributed_reduce ~ctx ~len:t.len ~payload_of:t.payload_of
+      Skeletons.distributed_reduce ~ctx ~len:t.len ~slice_of:t.slice_of
         ~node_work:(fun ~pool payload ->
           let sub = t.rebuild payload in
           Skeletons.local_reduce_with ~ctx pool ~len:sub.len
@@ -332,7 +314,7 @@ let collect_floats ?ctx (t : float t) =
         Skeletons.distributed_map_blocks ~ctx
           ~blocks:
             (Triolet_runtime.Partition.blocks ~parts:ctx.Exec.nodes t.len)
-          ~payload_of:(fun (off, n) -> t.payload_of off n)
+          ~slice_of:(fun (off, n) -> t.slice_of off n)
           ~node_work:(fun ~pool payload ->
             let sub = t.rebuild payload in
             floatarray_concat
@@ -375,7 +357,7 @@ let collect_float_pairs ?ctx (t : (float * float) t) =
         Skeletons.distributed_map_blocks ~ctx
           ~blocks:
             (Triolet_runtime.Partition.blocks ~parts:ctx.Exec.nodes t.len)
-          ~payload_of:(fun (off, n) -> t.payload_of off n)
+          ~slice_of:(fun (off, n) -> t.slice_of off n)
           ~node_work:(fun ~pool payload ->
             let sub = t.rebuild payload in
             concat_pairs
@@ -403,20 +385,16 @@ let fold f init t = Seq_iter.fold f init (to_seq_iter t)
     of a sliceable iterator is still sliceable. *)
 let sub ~off ~len t =
   if off < 0 || len < 0 || off + len > t.len then invalid_arg "Iter.sub";
-  {
-    t with
-    len;
-    local = (fun o n -> t.local (off + o) n);
-    payload_of = (fun o n -> t.payload_of (off + o) n);
-  }
+  sliced ~hint:t.hint ~len
+    ~local:(fun o n -> t.local (off + o) n)
+    ~width:t.width
+    ~slice_of:(fun o n -> t.slice_of (off + o) n)
+    ~rebuild:t.rebuild
 
 let rec filter_map f t =
   {
-    hint = t.hint;
-    len = t.len;
+    t with
     local = (fun off n -> Seq_iter.filter_map f (t.local off n));
-    width = t.width;
-    payload_of = t.payload_of;
     rebuild = (fun p -> filter_map f (t.rebuild p));
   }
 

@@ -2,9 +2,9 @@
 
     An ['a t] couples a count of outer tasks with two ways to realize
     any outer sub-range: *in place* (zero copy, for sequential and
-    shared-memory execution) and *extracted as a payload* plus a rebuild
-    function (for distributed execution — the sliceable data sources of
-    section 3.5).  Transformations compose both paths, so pipelines of
+    shared-memory execution) and *described as a data slice* plus a
+    rebuild function (for distributed execution — the sliceable data
+    sources of section 3.5).  Transformations compose both paths, so pipelines of
     [map]/[filter]/[concat_map]/[zip] stay fused and partitionable.
 
     Consumers dispatch on the parallelism hint set by {!par} and
@@ -19,8 +19,14 @@ type 'a t = {
   local : int -> int -> 'a Seq_iter.t;
       (** [local off n]: in-place loop nest for outer range [off, off+n) *)
   width : int;  (** number of payload buffers this iterator contributes *)
+  slice_of : int -> int -> Triolet_base.Payload.slice;
+      (** [slice_of off n]: the data slice for that range, as ranges
+          borrowed from the source's arrays.  Distributed consumers
+          encode it straight into the link. *)
   payload_of : int -> int -> Triolet_base.Payload.t;
-      (** [payload_of off n]: extracted data slice for that range *)
+      (** [payload_of off n] is [Payload.own (slice_of off n)]: the same
+          slice in fresh buffers.  Derived by the constructors; never
+          set it by hand. *)
   rebuild : Triolet_base.Payload.t -> 'a t;
       (** rebuild an iterator over a shipped slice (always [Local]) *)
 }
@@ -35,10 +41,11 @@ val make :
   len:int ->
   local:(int -> int -> 'a Seq_iter.t) ->
   width:int ->
-  payload_of:(int -> int -> Triolet_base.Payload.t) ->
+  slice_of:(int -> int -> Triolet_base.Payload.slice) ->
   rebuild:(Triolet_base.Payload.t -> 'a t) ->
   'a t
-(** Custom sliceable source (hint [Sequential]). *)
+(** Custom sliceable source (hint [Sequential]); [payload_of] is derived
+    from [slice_of]. *)
 
 val split_payload :
   int -> Triolet_base.Payload.t -> Triolet_base.Payload.t * Triolet_base.Payload.t

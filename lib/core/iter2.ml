@@ -21,8 +21,8 @@ type 'a t = {
       (** [local r0 nr c0 nc i j] : element at block-relative (i, j) of
           block (r0, nr, c0, nc), reading input in place *)
   width : int;
-  payload_of : int -> int -> int -> int -> Payload.t;
-      (** data slice needed by block (r0, nr, c0, nc) *)
+  slice_of : int -> int -> int -> int -> Payload.slice;
+      (** data slice needed by block (r0, nr, c0, nc), borrowed *)
   rebuild : Payload.t -> 'a t;
       (** rebuild a block-sized iterator from a shipped slice *)
 }
@@ -32,13 +32,14 @@ let col_count t = t.cols
 let hint t = t.hint
 let width t = t.width
 
-(* Plan-reification hook: expose the data slice a block would ship
+(* Plan-reification hooks: expose the data slice a block would ship
    without running the consumer, so the static analyzer can inspect the
    payload of each remote task of a 2-D decomposition. *)
-let payload_slice t ~r0 ~nr ~c0 ~nc = t.payload_of r0 nr c0 nc
+let block_slice t ~r0 ~nr ~c0 ~nc = t.slice_of r0 nr c0 nc
+let payload_slice t ~r0 ~nr ~c0 ~nc = Payload.own (block_slice t ~r0 ~nr ~c0 ~nc)
 
-let make ~rows ~cols ~local ~width ~payload_of ~rebuild =
-  { hint = Iter.Sequential; rows; cols; local; width; payload_of; rebuild }
+let make ~rows ~cols ~local ~width ~slice_of ~rebuild =
+  { hint = Iter.Sequential; rows; cols; local; width; slice_of; rebuild }
 
 (** 2-D iterator from an explicit element function (e.g. the
     [arrayRange] comprehension of the paper's transpose example).  It
@@ -53,7 +54,7 @@ let init ~rows ~cols f =
       cols;
       local = (fun r0 _ c0 _ i j -> f (r0 + i) (c0 + j));
       width = 0;
-      payload_of =
+      slice_of =
         (fun _ _ _ _ ->
           invalid_arg "Iter2.init: no serializable source for distribution");
       rebuild = (fun _ -> t);
@@ -86,8 +87,7 @@ let rec outer_product (a : 'a Iter.t) (b : 'b Iter.t) =
         let bv = Array.of_list (Seq_iter.to_list (b.Iter.local c0 nc)) in
         fun i j -> (av.(i), bv.(j)));
     width = a.Iter.width + b.Iter.width;
-    payload_of =
-      (fun r0 nr c0 nc -> a.Iter.payload_of r0 nr @ b.Iter.payload_of c0 nc);
+    slice_of = (fun r0 nr c0 nc -> a.Iter.slice_of r0 nr @ b.Iter.slice_of c0 nc);
     rebuild =
       (fun p ->
         let pa, pb = Iter.split_payload a.Iter.width p in
@@ -96,15 +96,11 @@ let rec outer_product (a : 'a Iter.t) (b : 'b Iter.t) =
 
 let rec map f t =
   {
-    hint = t.hint;
-    rows = t.rows;
-    cols = t.cols;
+    t with
     local =
       (fun r0 nr c0 nc ->
         let get = t.local r0 nr c0 nc in
         fun i j -> f (get i j));
-    width = t.width;
-    payload_of = t.payload_of;
     rebuild = (fun p -> map f (t.rebuild p));
   }
 
@@ -157,7 +153,7 @@ let build ?ctx (t : float t) =
       let grain = ctx.Exec.grain in
       let results =
         Skeletons.distributed_map_blocks ~ctx ~blocks
-          ~payload_of:(fun (r0, nr, c0, nc) -> t.payload_of r0 nr c0 nc)
+          ~slice_of:(fun (r0, nr, c0, nc) -> t.slice_of r0 nr c0 nc)
           ~node_work:(fun ~pool payload ->
             let sub = t.rebuild payload in
             let block = Matrix.create sub.rows sub.cols in
@@ -184,18 +180,22 @@ let build ?ctx (t : float t) =
 
 (** The paper's [rows]: reinterpret a matrix as a one-dimensional
     iterator over its rows.  Rows of a row-major matrix are contiguous,
-    so the payload of a slice of rows is a single block copy. *)
+    so a slice of rows is one range of the matrix's data, encoded as a
+    single block copy. *)
 let rows (m : Matrix.t) : Matrix.view Iter.t =
   let rec build m =
+    let cols = Matrix.cols m in
     Iter.make ~len:(Matrix.rows m)
       ~local:(fun off n ->
         Seq_iter.of_indexer
           (Indexer.init (Shape.seq n) (fun i -> Matrix.row m (off + i))))
       ~width:2
-      ~payload_of:(fun off n ->
+      ~slice_of:(fun off n ->
+        if off < 0 || n < 0 || off + n > Matrix.rows m then
+          invalid_arg "Iter2.rows: slice";
         [
-          Payload.Ints [| n; Matrix.cols m |];
-          Payload.Floats (Matrix.data (Matrix.copy_rows m off n));
+          Payload.Int_range ([| n; cols |], 0, 2);
+          Payload.Float_range (Matrix.data m, off * cols, n * cols);
         ])
       ~rebuild:(fun p ->
         match p with
@@ -265,7 +265,7 @@ let sum ?ctx (t : float t) =
       in
       let parts =
         Skeletons.distributed_map_blocks ~ctx ~blocks
-          ~payload_of:(fun (r0, nr, c0, nc) -> t.payload_of r0 nr c0 nc)
+          ~slice_of:(fun (r0, nr, c0, nc) -> t.slice_of r0 nr c0 nc)
           ~node_work:(fun ~pool payload ->
             let sub = t.rebuild payload in
             Skeletons.local_reduce_with ~ctx pool ~len:sub.rows
@@ -300,9 +300,8 @@ let rec map2 f a b =
         let ga = a.local r0 nr c0 nc and gb = b.local r0 nr c0 nc in
         fun i j -> f (ga i j) (gb i j));
     width = a.width + b.width;
-    payload_of =
-      (fun r0 nr c0 nc ->
-        a.payload_of r0 nr c0 nc @ b.payload_of r0 nr c0 nc);
+    slice_of =
+      (fun r0 nr c0 nc -> a.slice_of r0 nr c0 nc @ b.slice_of r0 nr c0 nc);
     rebuild =
       (fun p ->
         let pa, pb = Iter.split_payload a.width p in

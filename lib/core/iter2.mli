@@ -15,23 +15,29 @@ val hint : 'a t -> Iter.hint
 val width : 'a t -> int
 (** Number of payload buffers a block's slice contributes. *)
 
+val block_slice :
+  'a t -> r0:int -> nr:int -> c0:int -> nc:int -> Triolet_base.Payload.slice
+(** Plan-reification hook: the data slice block (r0, nr, c0, nc) would
+    ship, borrowed from the sources, without running a consumer.  Used
+    by the static plan analyzer to audit 2-D decompositions. *)
+
 val payload_slice :
   'a t -> r0:int -> nr:int -> c0:int -> nc:int -> Triolet_base.Payload.t
-(** Plan-reification hook: the data slice block (r0, nr, c0, nc) would
-    ship, without running a consumer.  Used by the static plan
-    analyzer to audit 2-D decompositions. *)
+(** [Payload.own] of {!block_slice}: the same slice in fresh buffers. *)
 
 val make :
   rows:int ->
   cols:int ->
   local:(int -> int -> int -> int -> int -> int -> 'a) ->
   width:int ->
-  payload_of:(int -> int -> int -> int -> Triolet_base.Payload.t) ->
+  slice_of:(int -> int -> int -> int -> Triolet_base.Payload.slice) ->
   rebuild:(Triolet_base.Payload.t -> 'a t) ->
   'a t
 (** [local r0 nr c0 nc i j] is the element at block-relative (i, j) of
-    block (r0, nr, c0, nc); [payload_of] extracts the block's data
-    slice; [rebuild] reconstructs a block-sized iterator from it. *)
+    block (r0, nr, c0, nc); [slice_of] describes the block's data slice
+    (ranges of the source's arrays; a non-contiguous block builds an
+    owned block and {!Triolet_base.Payload.borrow}s it); [rebuild]
+    reconstructs a block-sized iterator from the shipped slice. *)
 
 val init : rows:int -> cols:int -> (int -> int -> 'a) -> 'a t
 (** From an element function (the paper's [arrayRange] comprehension).

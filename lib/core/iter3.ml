@@ -22,15 +22,15 @@ type 'a t = {
       (** [local z0 n x y z] : element at slab-relative (x, y, z) of
           slab [z0, z0+n), reading input in place *)
   width : int;
-  payload_of : int -> int -> Payload.t;  (** data slice for a slab *)
+  slice_of : int -> int -> Payload.slice;  (** borrowed data slice for a slab *)
   rebuild : Payload.t -> 'a t;  (** slab-sized iterator from a slice *)
 }
 
 let dims t = (t.nx, t.ny, t.nz)
 let hint t = t.hint
 
-let make ~nx ~ny ~nz ~local ~width ~payload_of ~rebuild =
-  { hint = Iter.Sequential; nx; ny; nz; local; width; payload_of; rebuild }
+let make ~nx ~ny ~nz ~local ~width ~slice_of ~rebuild =
+  { hint = Iter.Sequential; nx; ny; nz; local; width; slice_of; rebuild }
 
 (** From an element function [f x y z].  The slab payload encodes only
     the slab bounds; the function itself travels as a closure (as all
@@ -45,8 +45,7 @@ let init ~nx ~ny ~nz f =
       nz = nz';
       local = (fun z0 _ x y z -> f x y (z_base + z0 + z));
       width = 1;
-      payload_of =
-        (fun z0 n -> [ Payload.Ints [| z_base + z0; n |] ]);
+      slice_of = (fun z0 n -> [ Payload.Int_range ([| z_base + z0; n |], 0, 2) ]);
       rebuild =
         (fun p ->
           match p with
@@ -58,7 +57,8 @@ let init ~nx ~ny ~nz f =
   in
   build 0 nz
 
-(** A grid's elements; slab payloads are single block copies. *)
+(** A grid's elements; a slab is one range of the grid's data, encoded
+    as a single block copy. *)
 let of_grid (g : Grid3.t) =
   let rec build (g : Grid3.t) =
     let nx, ny, nz = Grid3.dims g in
@@ -69,11 +69,13 @@ let of_grid (g : Grid3.t) =
       nz;
       local = (fun z0 _ x y z -> Grid3.unsafe_get g x y (z0 + z));
       width = 2;
-      payload_of =
+      slice_of =
         (fun z0 n ->
+          if z0 < 0 || n < 0 || z0 + n > nz then invalid_arg "Iter3.of_grid: slab";
+          let plane = nx * ny in
           [
-            Payload.Ints [| nx; ny; n |];
-            Payload.Floats (Grid3.data (Grid3.copy_slab g z0 n));
+            Payload.Int_range ([| nx; ny; n |], 0, 3);
+            Payload.Float_range (Grid3.data g, z0 * plane, n * plane);
           ]);
       rebuild =
         (fun p ->
@@ -92,16 +94,11 @@ let of_grid (g : Grid3.t) =
 
 let rec map f t =
   {
-    hint = t.hint;
-    nx = t.nx;
-    ny = t.ny;
-    nz = t.nz;
+    t with
     local =
       (fun z0 n ->
         let get = t.local z0 n in
         fun x y z -> f (get x y z));
-    width = t.width;
-    payload_of = t.payload_of;
     rebuild = (fun p -> map f (t.rebuild p));
   }
 
@@ -121,7 +118,7 @@ let rec map2 f a b =
         let ga = a.local z0 n and gb = b.local z0 n in
         fun x y z -> f (ga x y z) (gb x y z));
     width = a.width + b.width;
-    payload_of = (fun z0 n -> a.payload_of z0 n @ b.payload_of z0 n);
+    slice_of = (fun z0 n -> a.slice_of z0 n @ b.slice_of z0 n);
     rebuild =
       (fun p ->
         let pa, pb = Iter.split_payload a.width p in
@@ -169,7 +166,7 @@ let build ?ctx (t : float t) =
       let grain = ctx.Exec.grain in
       let results =
         Skeletons.distributed_map_blocks ~ctx ~blocks:slabs
-          ~payload_of:(fun (z0, n) -> t.payload_of z0 n)
+          ~slice_of:(fun (z0, n) -> t.slice_of z0 n)
           ~node_work:(fun ~pool payload ->
             let sub = t.rebuild payload in
             let slab = Grid3.create sub.nx sub.ny sub.nz in
@@ -209,7 +206,7 @@ let sum ?ctx (t : float t) =
       Skeletons.local_reduce ~ctx ~len:t.nz ~chunk:slab_sum ~merge:( +. )
         ~init:0.0 ()
   | Iter.Distributed ->
-      Skeletons.distributed_reduce ~ctx ~len:t.nz ~payload_of:t.payload_of
+      Skeletons.distributed_reduce ~ctx ~len:t.nz ~slice_of:t.slice_of
         ~node_work:(fun ~pool payload ->
           let sub = t.rebuild payload in
           Skeletons.local_reduce_with ~ctx pool ~len:sub.nz

@@ -16,11 +16,12 @@ val make :
   nz:int ->
   local:(int -> int -> int -> int -> int -> 'a) ->
   width:int ->
-  payload_of:(int -> int -> Triolet_base.Payload.t) ->
+  slice_of:(int -> int -> Triolet_base.Payload.slice) ->
   rebuild:(Triolet_base.Payload.t -> 'a t) ->
   'a t
 (** [local z0 n x y z] is the element at slab-relative (x, y, z) of slab
-    [z0, z0+n). *)
+    [z0, z0+n); [slice_of z0 n] describes the slab's data as ranges
+    borrowed from the source. *)
 
 val init : nx:int -> ny:int -> nz:int -> (int -> int -> int -> 'a) -> 'a t
 (** From an element function [f x y z].  The slab payload carries only
@@ -28,7 +29,8 @@ val init : nx:int -> ny:int -> nz:int -> (int -> int -> int -> 'a) -> 'a t
     {!Iter2.init} — this supports distributed execution. *)
 
 val of_grid : Grid3.t -> float t
-(** Slab payloads are single block copies. *)
+(** A slab's slice is one range of the grid's data: a single block
+    copy on the wire. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t

@@ -87,12 +87,13 @@ let local_map_chunks ?ctx ~len ~chunk () =
   local_map_chunks_with ?ctx (Pool.default ()) ~len ~chunk
 
 (** Distributed reduction: partition [len] outer iterations across the
-    context's cluster, ship each node its payload (serialized), run
+    context's cluster, ship each node its slice (encoded from the
+    borrowed ranges [slice_of] describes), run
     [node_work] against the decoded payload with intra-node parallelism,
     and merge the nodes' serialized replies.  In flat mode the work
     units are single-core processes; under the process backend each
     node is a forked OS process with a private pool. *)
-let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
+let distributed_reduce ?ctx ~len ~slice_of ~node_work ~result_codec ~merge
     ~init () =
   let ctx = Exec.resolve ctx in
   Obs.span ~name:"skel.distributed_reduce" (fun () ->
@@ -105,8 +106,8 @@ let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
           ~scatter:(fun node ->
             if node < nblocks then
               let off, n = blocks.(node) in
-              payload_of off n
-            else Payload.empty)
+              slice_of off n
+            else [])
           ~work:(fun ~node ~pool payload ->
             if node < nblocks then Some (node_work ~pool payload) else None)
           ~result_codec:(Codec.option result_codec)
@@ -117,7 +118,7 @@ let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
 
 (** Distributed map in block order: like {!distributed_reduce} but
     returns the per-node results as an array indexed by block. *)
-let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
+let distributed_map_blocks ?ctx ~blocks ~slice_of ~node_work ~result_codec ()
     =
   let ctx = Exec.resolve ctx in
   Obs.span ~name:"skel.distributed_map_blocks" (fun () ->
@@ -145,7 +146,7 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
       let results = ref [] in
       let (), _report =
         Cluster.run_topology ?pool ?faults:ctx.Exec.faults topo
-          ~scatter:(fun node -> payload_of blocks.(node))
+          ~scatter:(fun node -> slice_of blocks.(node))
           ~work:(fun ~node ~pool payload -> (node, node_work ~pool payload))
           ~result_codec:(Codec.pair Codec.int result_codec)
           ~merge:(fun () (node, r) -> results := (node, r) :: !results)

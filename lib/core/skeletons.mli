@@ -47,7 +47,7 @@ val local_map_chunks :
 val distributed_reduce :
   ?ctx:Exec.t ->
   len:int ->
-  payload_of:(int -> int -> Triolet_base.Payload.t) ->
+  slice_of:(int -> int -> Triolet_base.Payload.slice) ->
   node_work:(pool:Triolet_runtime.Pool.t -> Triolet_base.Payload.t -> 'r) ->
   result_codec:'r Triolet_base.Codec.t ->
   merge:('r -> 'r -> 'r) ->
@@ -55,7 +55,8 @@ val distributed_reduce :
   unit ->
   'r
 (** Partition [len] outer iterations across the context's cluster, ship
-    each worker its serialized payload slice, run [node_work] against
+    each worker its slice (encoded straight from the borrowed ranges,
+    which must not change during the call), run [node_work] against
     the decoded payload with intra-node parallelism, merge the
     serialized replies.  The context's backend chooses the transport;
     under [Process], [node_work] executes in a forked child on the
@@ -64,7 +65,7 @@ val distributed_reduce :
 val distributed_map_blocks :
   ?ctx:Exec.t ->
   blocks:'blk array ->
-  payload_of:('blk -> Triolet_base.Payload.t) ->
+  slice_of:('blk -> Triolet_base.Payload.slice) ->
   node_work:(pool:Triolet_runtime.Pool.t -> Triolet_base.Payload.t -> 'r) ->
   result_codec:'r Triolet_base.Codec.t ->
   unit ->

@@ -154,11 +154,7 @@ module Tpacf_k = struct
       run_triolet = (fun ?ctx () -> ignore (run ?ctx ()));
       run_seq =
         (fun () ->
-          (* No sequential hint hook: force one node x one core. *)
-          ignore
-            (Tpacf.run_triolet
-               ~ctx:(Exec.make ~nodes:1 ~cores_per_node:1 ())
-               ~bins (Lazy.force d)));
+          ignore (Tpacf.run_triolet ~hint:Iter.Sequential ~bins (Lazy.force d)));
       check = checker ~agree:Tpacf.agrees run;
       pipelines =
         (fun () ->

@@ -11,10 +11,14 @@ val bin_of_dot : bins:int -> float -> int
 val run_c : bins:int -> Dataset.tpacf -> result
 (** Imperative nested loops with direct histogram updates. *)
 
-val run_triolet : ?ctx:Triolet.Exec.t -> bins:int -> Dataset.tpacf -> result
+val run_triolet :
+  ?ctx:Triolet.Exec.t -> ?hint:Triolet.Iter.hint -> bins:int -> Dataset.tpacf -> result
 (** Follows the paper's Figure 6: a shared [correlation] over a pair
     iterator; a triangular nested comprehension for self-correlation;
-    [par] over random sets with [localpar] pair loops inside. *)
+    [par] over random sets with [localpar] pair loops inside.  [hint]
+    sets the random-set loop's parallelism (default [Distributed]);
+    [Sequential] also makes the pair loops sequential, so the whole
+    run stays on the calling thread. *)
 
 val run_eden : bins:int -> Dataset.tpacf -> result
 

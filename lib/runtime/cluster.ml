@@ -42,7 +42,22 @@
     attempt, so it sends one scatter per worker, reads one reply per
     worker, and fails with a typed error instead of retrying.  [work]
     may run more than once for a slice under a plan and must be
-    re-executable (pure in its payload), which every skeleton body is. *)
+    re-executable (pure in its payload), which every skeleton body is.
+
+    {2 Borrowed slices}
+
+    [scatter] returns a {!Payload.slice}: ranges of the caller's own
+    arrays, not copies.  The engine never keeps a slice past its send,
+    so the caller's arrays are read only while the call runs:
+
+    - a streaming send encodes the slice inside [link.send], straight
+      into the child's socket;
+    - the in-process link materializes the message to bytes as soon as
+      it is sent, and its queue holds only those bytes;
+    - under a fault plan the slice is encoded to bytes on its first
+      attempt, and every retry re-sends those bytes.
+
+    The receiver always decodes fresh, owned buffers. *)
 
 let log_src = Logs.Src.create "triolet.cluster" ~doc:"Cluster runtime"
 
@@ -54,10 +69,11 @@ module Obs = Triolet_obs.Obs
 
 (* Span taxonomy (DESIGN.md, Observability): every wall-clock phase of
    a distributed run is wrapped so a trace accounts for ~all of the
-   call's time.  [cluster.serialize] covers building a slice (and, on
-   the fault path, encoding it to the bytes a retry re-sends);
-   [cluster.send] the transfer, which includes the encoding whenever it
-   streams into the link; [cluster.recv] the receive, including decode;
+   call's time.  [cluster.serialize] covers describing a slice (its
+   borrowed ranges, no copy) and, on the fault path, encoding it to the
+   bytes a retry re-sends; [cluster.send] the transfer, which includes
+   the encoding whenever it streams into the link (and the in-process
+   link's materialization); [cluster.recv] the receive, including decode;
    [cluster.compute] the node work; [cluster.merge] the final fold.
    [cluster.retry] only appears on the fault path and overlaps the
    others, so it is excluded from phase-sum coverage checks. *)
@@ -282,7 +298,7 @@ let process_link fabric =
 (* Fault-free means this plan: nothing injected, one attempt. *)
 let fault_free = Fault.spec ~max_attempts:1 ~seed:0 ()
 
-let gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
+let gather link ~workers ~spec ~stream ~send_codec ~reply_codec ~envelope_bytes
     ~scatter ~merge ~init =
   let fault = Fault.make spec in
   let max_attempts = spec.Fault.max_attempts in
@@ -321,12 +337,12 @@ let gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
           link.send node m)
     end
   in
-  (* Each slice is built and encoded exactly once, on its first send.
-     When streaming, the encoding goes straight into the link.  Under a
-     fault plan it is materialized, because faults act on bytes and
-     retries re-send the cached bytes (dedup keys on the worker id, not
-     the seq); the bytes are dropped as soon as they can no longer be
-     re-sent. *)
+  (* Each slice is described and encoded exactly once, on its first
+     send, and not kept past it.  When streaming, the encoding goes
+     straight into the link.  Under a fault plan it is materialized,
+     because faults act on bytes and retries re-send the cached bytes
+     (dedup keys on the worker id, not the seq); the bytes are dropped
+     as soon as they can no longer be re-sent. *)
   let send_scatter ~target wk =
     attempts.(wk) <- attempts.(wk) + 1;
     let build () =
@@ -337,7 +353,7 @@ let gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
     Log.debug (fun m ->
         m "scatter: worker %d -> node %d (attempt %d)" wk target attempts.(wk));
     if stream then begin
-      let m = serialize (fun () -> Codec.msg task_codec (build ())) in
+      let m = serialize (fun () -> Codec.msg send_codec (build ())) in
       count scatter_bytes scatter_msgs m.Codec.size;
       deliver target m
     end
@@ -345,7 +361,7 @@ let gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
       let bytes =
         match encoded.(wk) with
         | Some bytes -> bytes
-        | None -> serialize (fun () -> Codec.to_bytes task_codec (build ()))
+        | None -> serialize (fun () -> Codec.to_bytes send_codec (build ()))
       in
       encoded.(wk) <- (if attempts.(wk) < max_attempts then Some bytes else None);
       count scatter_bytes scatter_msgs (Bytes.length bytes);
@@ -491,6 +507,9 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
   (* Only a fault-free call streams its slices: a fault plan acts on
      bytes, and its retries re-send them. *)
   let stream = Option.is_none faults in
+  (* One wire format: the parent encodes borrowed slices, nodes decode
+     owned payloads. *)
+  let send_codec = envelope Payload.slice_codec in
   let task_codec = envelope Payload.codec and reply_codec = envelope result_codec in
   let envelope_bytes = Bytes.length (Codec.to_bytes (envelope Codec.unit) (0, 0, ())) in
   let task ~node =
@@ -498,14 +517,14 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
         spec.Fault.crash = Some (node, phase))
   in
   let run_on link =
-    gather link ~workers ~spec ~stream ~task_codec ~reply_codec ~envelope_bytes
+    gather link ~workers ~spec ~stream ~send_codec ~reply_codec ~envelope_bytes
       ~scatter ~merge ~init
   in
   match topo.backend with
   | Inprocess | Flat ->
-      (* Nodes share the default pool, capped at the configured core
-         count; a fresh per-call pool would cost a domain spawn per
-         operation. *)
+      (* Nodes share the caller's pool, or the default pool at its own
+         width: [cores_per_node] does not cap it.  A fresh per-call pool
+         would cost a domain spawn per operation. *)
       let pool = match pool with Some p -> p | None -> Pool.default () in
       Stats.ensure_workers (Pool.size pool);
       run_on (inprocess_link ~nodes:workers ~run:(task ~pool))

@@ -80,7 +80,7 @@ val run_topology :
   ?pool:Pool.t ->
   ?faults:Fault.spec ->
   topology ->
-  scatter:(int -> Triolet_base.Payload.t) ->
+  scatter:(int -> Triolet_base.Payload.slice) ->
   work:(node:int -> pool:Pool.t -> Triolet_base.Payload.t -> 'r) ->
   result_codec:'r Triolet_base.Codec.t ->
   merge:('a -> 'r -> 'a) ->
@@ -88,9 +88,13 @@ val run_topology :
   'a * report
 (** [run_topology topo ~scatter ~work ~result_codec ~merge ~init]:
 
-    - [scatter w] builds worker [w]'s input payload, once; it is
-      serialized and shipped to the worker's node;
-    - [work ~node ~pool payload] runs against the decoded payload,
+    - [scatter w] describes worker [w]'s input slice, once, as ranges
+      borrowed from the caller's arrays.  The slice is encoded on its
+      send and never kept past it: streamed into the socket, copied to
+      bytes by the in-process link, or, under [?faults], encoded to the
+      bytes every retry re-sends.  The caller must not mutate the
+      borrowed ranges until the call returns;
+    - [work ~node ~pool payload] runs against the decoded (owned) payload,
       using [pool] for intra-node parallelism; [~node] is always the
       logical worker id whose slice it computes, even when recovery
       runs that slice on another node;

@@ -270,6 +270,37 @@ let test_serialization_error_without_codec () =
       let p = Plan.of_iter ~name:"boxed" it in
       check_bool "error raised" true (Passes.has_errors (Passes.serialization p)))
 
+let test_serialization_payload_probes () =
+  with_cluster (fun () ->
+      let module Iter = Triolet.Iter in
+      let module Payload = Triolet_base.Payload in
+      let data = Float.Array.init 40 float_of_int in
+      let it = Iter.par (Iter.of_floatarray data) in
+      (* Does any error finding on [it]'s plan mention [word]? *)
+      let error_with word it =
+        Passes.serialization (Plan.of_iter ~name:"p" it)
+        |> List.exists (fun f ->
+               f.Passes.severity = Passes.Error
+               && Str.string_match (Str.regexp (".*" ^ word)) f.Passes.message 0)
+      in
+      check_bool "derived payload_of is clean" false
+        (Passes.has_errors (Passes.serialization (Plan.of_iter ~name:"p" it)));
+      (* Hand-written [payload_of]s, bypassing the constructors: one
+         hands out the sender's array, one ships other bytes than the
+         slice the engine encodes. *)
+      let whole = { it with Iter.payload_of = (fun _ _ -> [ Payload.Floats data ]) } in
+      check_bool "aliasing payload is an error" true (error_with "aliases" whole);
+      let other =
+        {
+          it with
+          Iter.payload_of =
+            (fun off n -> [ Payload.Floats (Float.Array.make n (float_of_int off)) ]);
+        }
+      in
+      check_bool "slice/payload mismatch is an error" true
+        (error_with "different bytes" other);
+      check_bool "a mismatch is not an alias" false (error_with "aliases" other))
+
 let test_serialization_raw_is_info () =
   with_cluster (fun () ->
       let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
@@ -458,6 +489,8 @@ let () =
             test_serialization_error_without_codec;
           Alcotest.test_case "raw payloads are info" `Quick
             test_serialization_raw_is_info;
+          Alcotest.test_case "payload probes" `Quick
+            test_serialization_payload_probes;
           Alcotest.test_case "coverage pass catches bad partition" `Quick
             test_coverage_pass_catches_bad_partition;
           Alcotest.test_case "grain advisory" `Quick test_grain_advisory;

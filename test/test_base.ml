@@ -400,6 +400,49 @@ let prop_short_reads_equiv =
             (Codec.to_bytes c (Codec.of_bytes c bytes)))
         envelopes)
 
+(* A borrowed slice: random arrays with random ranges, including empty
+   and whole-array ones, mixed with raw strings. *)
+let range_gen len =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun off -> (off, 0)) (int_bound len);
+        return (0, len);
+        int_bound len >>= fun off ->
+        map (fun n -> (off, n)) (int_bound (len - off));
+      ])
+
+let slice_gen : Payload.slice QCheck2.Gen.t =
+  QCheck2.Gen.(
+    list_size (int_bound 4)
+      (oneof
+         [
+           ( list_size (int_bound 40) (float_range (-1e6) 1e6) >>= fun l ->
+             let a = Float.Array.of_list l in
+             map
+               (fun (off, n) -> Payload.Float_range (a, off, n))
+               (range_gen (Float.Array.length a)) );
+           ( small_list int >>= fun l ->
+             let a = Array.of_list l in
+             map (fun (off, n) -> Payload.Int_range (a, off, n)) (range_gen (Array.length a)) );
+           map (fun s -> Payload.Raw_bytes s) (string_size (int_bound 40));
+         ]))
+
+let prop_slice_bytes_identity =
+  qtest "slice bytes = owned bytes"
+    QCheck2.Gen.(pair slice_gen (int_range 1 64))
+    (fun (s, cap) ->
+      let owned = Codec.to_bytes Payload.codec (Payload.own s) in
+      List.for_all
+        (fun checksummed ->
+          let env c = if checksummed then Codec.checksummed c else c in
+          let sliced = sink_encode ~cap (env Payload.slice_codec) s in
+          Bytes.equal sliced (Codec.to_bytes (env Payload.codec) (Payload.own s))
+          && Bytes.length sliced = (env Payload.slice_codec).Codec.size s)
+        [ false; true ]
+      && Codec.of_bytes Payload.codec owned = Payload.own s
+      && Payload.own (Payload.borrow (Payload.own s)) = Payload.own s)
+
 let test_rw_stream_big_block () =
   (* Blocks longer than the buffer bypass it on both sides. *)
   let a = Float.Array.init 5000 float_of_int in
@@ -542,6 +585,7 @@ let () =
           Alcotest.test_case "stream big blocks" `Quick test_rw_stream_big_block;
           Alcotest.test_case "block bounds" `Quick test_block_bounds;
           prop_sink_writer_equiv;
+          prop_slice_bytes_identity;
           prop_short_reads_equiv;
           prop_block_fallback_equiv;
         ] );

@@ -147,6 +147,52 @@ let test_proc_kill_mid_iteration () =
       check_bool "next round still exact" true (again = clean);
       check_int "no further crashes" 0 r2.Cluster.crashed_nodes)
 
+(* Darray segments are owned snapshots: built from an iterator's
+   [payload_of] (as [Skeletons.resident_segments] does), they must not
+   follow later writes to the source.  The source is overwritten after
+   [create] and again before a crash replay; every round, the replayed
+   one included, must see the data as it was at [create]. *)
+let test_segments_snapshot_source backend () =
+  let work ~node ~resident ~arg =
+    if backend = Cluster.Process then Unix.sleepf 0.15;
+    sum_work ~node ~resident ~arg
+  in
+  let s = Darray.create_session ~topology:(topo ~nodes:2 backend) ~work () in
+  Fun.protect
+    ~finally:(fun () -> Darray.close_session s)
+    (fun () ->
+      let src = Float.Array.init 4_000 (fun i -> float_of_int (i mod 7)) in
+      let it = Triolet.Iter.of_floatarray src in
+      let ctx = Exec.make ~nodes:2 ~cores_per_node:1 ~backend () in
+      let segs =
+        Triolet.Skeletons.resident_segments ~ctx ~len:(Float.Array.length src)
+          ~payload_of:it.Triolet.Iter.payload_of ()
+      in
+      let want = expected_sum segs 1.0 in
+      let d = Darray.create s ~segments:segs in
+      Float.Array.fill src 0 (Float.Array.length src) 1000.0;
+      let run () = Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let first, _ = run () in
+      Alcotest.(check (float 0.0)) "first round sees the snapshot" want first;
+      Float.Array.fill src 0 (Float.Array.length src) (-1.0);
+      match Darray.proc_pids s with
+      | [] ->
+          let again, _ = run () in
+          Alcotest.(check (float 0.0)) "later round sees the snapshot" want again
+      | victim :: _ ->
+          let killer =
+            Thread.create
+              (fun () ->
+                Thread.delay 0.05;
+                try Unix.kill victim Sys.sigkill with Unix.Unix_error _ -> ())
+              ()
+          in
+          let replayed, report = run () in
+          Thread.join killer;
+          check_bool "a child died and was replayed" true
+            (report.Cluster.crashed_nodes >= 1);
+          Alcotest.(check (float 0.0)) "replay sees the snapshot" want replayed)
+
 let test_proc_sgemm_first_round_parity () =
   (* First-iteration results over the process transport are
      byte-identical to the non-resident loop nest: children compute
@@ -533,6 +579,8 @@ let () =
             test_proc_kill_mid_iteration;
           Alcotest.test_case "sgemm first-round parity" `Quick
             test_proc_sgemm_first_round_parity;
+          Alcotest.test_case "segments snapshot the source" `Quick
+            (test_segments_snapshot_source Cluster.Process);
         ] );
       ( "codecs",
         [
@@ -565,6 +613,8 @@ let () =
           Alcotest.test_case "ghost versioning" `Quick test_ghost_versioning;
           Alcotest.test_case "free refuses further use" `Quick
             test_free_refuses_further_use;
+          Alcotest.test_case "segments snapshot the source" `Quick
+            (test_segments_snapshot_source Cluster.Inprocess);
         ] );
       ( "resident kernels",
         [

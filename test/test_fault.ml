@@ -254,7 +254,7 @@ let sum_run ?faults backend nodes =
   run backend ?faults nodes
     ~scatter:(fun node ->
       let off, len = blocks.(node) in
-      [ Payload.Floats (Float.Array.sub data off len) ])
+      [ Payload.Float_range (data, off, len) ])
     ~work:(fun ~node:_ ~pool:_ payload ->
       match payload with
       | [ Payload.Floats f ] -> Float.Array.fold_left ( +. ) 0.0 f
@@ -282,7 +282,7 @@ let test_fault_free_never_retries backend () =
      re-sent however long [work] takes. *)
   let total, r =
     run backend 3
-      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node |] ])
       ~work:(fun ~node:_ ~pool:_ payload ->
         Unix.sleepf 0.05;
         match payload with [ Payload.Ints a ] -> a.(0) | _ -> -1)
@@ -365,7 +365,7 @@ let test_work_exception_reraised backend () =
   check_bool "work exception re-raised" true
     (match
        run backend ~faults 3
-         ~scatter:(fun _ -> Payload.empty)
+         ~scatter:(fun _ -> [])
          ~work:(fun ~node ~pool:_ _ -> if node = 1 then failwith "boom" else node)
          ~result_codec:Codec.int ~merge:( + ) ~init:0
      with
@@ -378,7 +378,7 @@ let test_merge_worker_order_under_faults backend () =
   let faults = Fault.spec ~seed:7 ~crash:(1, Fault.During_work) () in
   let order, _ =
     run backend ~faults 4
-      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node |] ])
       ~work:(fun ~node:_ ~pool:_ payload ->
         match payload with [ Payload.Ints a ] -> a.(0) | _ -> -1)
       ~result_codec:Codec.int
@@ -433,6 +433,41 @@ let test_encode_once_under_drops backend () =
   check_bool "drops actually forced retries" true (r.Cluster.retries > 0);
   check_int "each (node, slice) encoded exactly once" 4 (Stats.encode_count ())
 
+let test_retries_resend_first_bytes backend () =
+  (* Slices borrow [data], and every later scatter call poisons worker
+     0's range once its first attempt is encoded.  Only worker 0's link
+     drops frames, so every retry is worker 0's: a retry re-encoded
+     from the slice would carry the poison instead of the first
+     attempt's bytes. *)
+  let nodes = 4 in
+  let data = Float.Array.init 120 float_of_int in
+  let blocks = Partition.blocks ~parts:nodes 120 in
+  let faults =
+    Fault.spec ~seed:21
+      ~faults_of:(function
+        | Fault.To_node 0 -> { Fault.no_faults with drop = 0.5 }
+        | Fault.To_node _ | Fault.From_node _ -> Fault.no_faults)
+      ()
+  in
+  let total, r =
+    run backend ~faults nodes
+      ~scatter:(fun node ->
+        if node > 0 then begin
+          let off, len = blocks.(0) in
+          Float.Array.fill data off len Float.nan
+        end;
+        let off, len = blocks.(node) in
+        [ Payload.Float_range (data, off, len) ])
+      ~work:(fun ~node:_ ~pool:_ payload ->
+        match payload with
+        | [ Payload.Floats f ] -> Float.Array.fold_left ( +. ) 0.0 f
+        | _ -> Alcotest.fail "bad payload")
+      ~result_codec:Codec.float ~merge:( +. ) ~init:0.0
+  in
+  check_bool "worker 0 was re-sent" true (r.Cluster.retries > 0);
+  Alcotest.(check (float 1e-9)) "every attempt carried the first bytes"
+    expected_sum total
+
 let prop_faulty_sum_correct =
   qtest ~count:15 "random seeds: faulty run = fault-free result"
     QCheck2.Gen.(int_bound 10_000)
@@ -458,6 +493,7 @@ let recovery_cases backend =
       ("merge in worker order", test_merge_worker_order_under_faults);
       ("seeded run reproducible", test_seeded_run_reproducible);
       ("encode once under drops", test_encode_once_under_drops);
+      ("retries resend first bytes", test_retries_resend_first_bytes);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -89,7 +89,18 @@ let test_tpacf_triolet_matches_c () =
   let d = Dataset.tpacf ~seed:31 ~points:40 ~random_sets:3 in
   let c = Tpacf.run_c ~bins:16 d in
   Alcotest.(check bool) "triolet" true
-    (Tpacf.agrees c (Tpacf.run_triolet ~bins:16 d))
+    (Tpacf.agrees c (Tpacf.run_triolet ~bins:16 d));
+  Alcotest.(check bool) "localpar" true
+    (Tpacf.agrees c (Tpacf.run_triolet ~hint:Iter.Local ~bins:16 d));
+  (* The sequential path keeps every loop on the calling thread: no
+     pool chunk, no message. *)
+  let r, delta =
+    Triolet_runtime.Stats.measure (fun () ->
+        Tpacf.run_triolet ~hint:Iter.Sequential ~bins:16 d)
+  in
+  Alcotest.(check bool) "seq" true (Tpacf.agrees c r);
+  Alcotest.(check int) "seq runs no pool chunk" 0 delta.Triolet_runtime.Stats.chunks_run;
+  Alcotest.(check int) "seq sends no message" 0 delta.Triolet_runtime.Stats.messages
 
 let test_tpacf_eden_matches_c () =
   let d = Dataset.tpacf ~seed:32 ~points:30 ~random_sets:2 in

@@ -507,7 +507,7 @@ let test_cluster_scatter_gather () =
         Cluster.run_topology ~pool topo
           ~scatter:(fun node ->
             let off, len = blocks.(node) in
-            [ Payload.Floats (Float.Array.sub data off len) ])
+            [ Payload.Float_range (data, off, len) ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with
             | [ Payload.Floats f ] -> Float.Array.fold_left ( +. ) 0.0 f
@@ -527,7 +527,7 @@ let test_cluster_data_isolation () =
       let data = Float.Array.make 8 1.0 in
       let (), _ =
         Cluster.run_topology ~pool topo
-          ~scatter:(fun _ -> [ Payload.Floats data ])
+          ~scatter:(fun _ -> Payload.borrow [ Payload.Floats data ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with
             | [ Payload.Floats f ] -> Float.Array.set f 0 999.0
@@ -544,7 +544,7 @@ let test_cluster_flat_mode_worker_count () =
       let seen = ref 0 in
       let (), report =
         Cluster.run_topology ~pool topo
-          ~scatter:(fun _ -> Payload.empty)
+          ~scatter:(fun _ -> [])
           ~work:(fun ~node:_ ~pool:_ _ -> incr seen)
           ~result_codec:Codec.unit
           ~merge:(fun () () -> ())
@@ -558,7 +558,7 @@ let test_cluster_merge_order () =
       let topo = { Cluster.nodes = 3; cores_per_node = 1; backend = Cluster.Inprocess } in
       let order, _ =
         Cluster.run_topology ~pool topo
-          ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+          ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node |] ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with
             | [ Payload.Ints a ] -> a.(0)
@@ -575,7 +575,7 @@ let test_cluster_invalid_config () =
       ignore
         (Cluster.run_topology
            { Cluster.nodes = 0; cores_per_node = 1; backend = Cluster.Inprocess }
-           ~scatter:(fun _ -> Payload.empty)
+           ~scatter:(fun _ -> [])
            ~work:(fun ~node:_ ~pool:_ _ -> ())
            ~result_codec:Codec.unit
            ~merge:(fun () () -> ())

@@ -257,7 +257,7 @@ let run_sum topo =
     ~scatter:(fun node ->
       let blocks = Partition.blocks ~parts:topo.Cluster.nodes 999 in
       let off, n = blocks.(node) in
-      [ Payload.Floats (Float.Array.sub xs off n) ])
+      [ Payload.Float_range (xs, off, n) ])
     ~work:(fun ~node:_ ~pool:_ payload ->
       match payload with
       | [ Payload.Floats a ] ->
@@ -291,7 +291,7 @@ let test_merge_order_process () =
                backend = Cluster.Process } in
   let order, _ =
     Cluster.run_topology topo
-      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node |] ])
       ~work:(fun ~node:_ ~pool:_ payload ->
         match payload with [ Payload.Ints a ] -> a.(0) | _ -> -1)
       ~result_codec:Codec.int
@@ -374,7 +374,7 @@ let test_external_kill_recovered () =
   let faults = Fault.spec ~seed:1 () in
   let result, report =
     Cluster.run_topology ~faults topo
-      ~scatter:(fun node -> [ Payload.Ints [| node + 1 |] ])
+      ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node + 1 |] ])
       ~work:(fun ~node ~pool:_ payload ->
         (* Only the process that *is* node 1 dies; the survivor that
            re-executes node 1's slice reports a different [on_node]. *)
@@ -399,7 +399,7 @@ let test_noisy_faults_recovered () =
   in
   let result, report =
     Cluster.run_topology ~faults topo
-      ~scatter:(fun node -> [ Payload.Ints [| node |] ])
+      ~scatter:(fun node -> Payload.borrow [ Payload.Ints [| node |] ])
       ~work:(fun ~node:_ ~pool:_ payload ->
         match payload with [ Payload.Ints a ] -> a.(0) + 100 | _ -> -1)
       ~result_codec:Codec.int
@@ -554,7 +554,7 @@ let test_process_after_domains_fails () =
   match
     Cluster.run_topology
       { Cluster.nodes = 2; cores_per_node = 1; backend = Cluster.Process }
-      ~scatter:(fun _ -> Payload.empty)
+      ~scatter:(fun _ -> [])
       ~work:(fun ~node:_ ~pool:_ _ -> ())
       ~result_codec:Codec.unit
       ~merge:(fun () () -> ())
