@@ -415,8 +415,9 @@ let demo_cmd =
            their totals should account for nearly all of the wall time
            of a distributed run. *)
         let cluster_phases =
-          [ "cluster.serialize"; "cluster.send"; "cluster.compute";
-            "cluster.recv"; "cluster.merge" ]
+          [ "cluster.fork"; "cluster.serialize"; "cluster.send";
+            "cluster.compute"; "cluster.recv"; "cluster.merge";
+            "cluster.shutdown" ]
         in
         let covered =
           List.fold_left (fun acc p -> acc + Obs.agg_total p) 0 cluster_phases

@@ -68,8 +68,8 @@ type writer = {
   flush : (Bytes.t -> int -> int -> unit) option;
 }
 
-let create_writer ?(capacity = 256) ?flush () =
-  let buf = Bytes.create (max 1 capacity) in
+let create_writer ?(capacity = 256) ?buf ?flush () =
+  let buf = match buf with Some b -> b | None -> Bytes.create (max 1 capacity) in
   { buf; len = 0; flushed = 0; held = 0; home = buf; flush }
 
 let writer_length w = w.flushed + w.len

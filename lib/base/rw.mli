@@ -37,12 +37,18 @@ type reader
 (** Input cursor over bytes in memory or arriving from a source. *)
 
 val create_writer :
-  ?capacity:int -> ?flush:(Bytes.t -> int -> int -> unit) -> unit -> writer
+  ?capacity:int ->
+  ?buf:Bytes.t ->
+  ?flush:(Bytes.t -> int -> int -> unit) ->
+  unit ->
+  writer
 (** Without [flush], a buffer that grows as needed.  With [flush], the
     buffer has the fixed [capacity] (default 256): when it fills, its
     bytes go to [flush buf off len], and a block at least a buffer long
     is passed to [flush] directly from the caller's bytes.  [flush] must
-    consume the range before returning and must not modify it. *)
+    consume the range before returning and must not modify it.  [buf],
+    if given, is the buffer to start with (its length replaces
+    [capacity]); the writer owns it until it is dropped. *)
 
 val writer_length : writer -> int
 (** Bytes written so far, flushed or not. *)

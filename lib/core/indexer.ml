@@ -8,9 +8,18 @@
     expressed directly — hybrid iterators wrap their output in steppers
     instead. *)
 
-type ('i, 'a) t = { shape : 'i Shape.t; get : 'i -> 'a }
+(* What the lookup reads.  A float leaf is a flat run of a floatarray
+   from an offset: [slice] rebases it and [zip] pairs two of them inside
+   one getter that reads the arrays directly, so the per-element path of
+   a shipped dot product carries no stacked lookup closures.  Every other
+   indexer is an opaque lookup. *)
+type ('i, 'a) src =
+  | Fn : ('i, 'a) src
+  | Floats : floatarray * int -> (int, float) src
 
-let make shape get = { shape; get }
+type ('i, 'a) t = { shape : 'i Shape.t; get : 'i -> 'a; src : ('i, 'a) src }
+
+let make shape get = { shape; get; src = Fn }
 
 let shape t = t.shape
 
@@ -18,44 +27,60 @@ let size t = Shape.size t.shape
 
 let get t i = t.get i
 
-let init shape f = { shape; get = f }
+let init = make
 
-let of_array a = { shape = Shape.seq (Array.length a); get = Array.get a }
+let of_array a = make (Shape.seq (Array.length a)) (Array.get a)
 
-let of_floatarray (a : floatarray) =
-  { shape = Shape.seq (Float.Array.length a); get = Float.Array.get a }
+(* [len] elements of [a] from [off]. *)
+let float_leaf (a : floatarray) off len =
+  {
+    shape = Shape.seq len;
+    get = (fun i -> Float.Array.get a (off + i));
+    src = Floats (a, off);
+  }
+
+let of_floatarray a = float_leaf a 0 (Float.Array.length a)
 
 (** Indexer over the integers [lo, hi) themselves. *)
 let range lo hi =
   if hi < lo then invalid_arg "Indexer.range";
-  { shape = Shape.seq (hi - lo); get = (fun i -> lo + i) }
+  make (Shape.seq (hi - lo)) (fun i -> lo + i)
 
 (** Mapping composes lookup with [f]: [(n, g) -> (n, f . g)]. *)
-let map f t = { shape = t.shape; get = (fun i -> f (t.get i)) }
+let map f t = make t.shape (fun i -> f (t.get i))
 
 (** [zipIdx]: random access lets corresponding iterations pair up
     without any buffering, preserving parallelism. *)
 let zip_with f a b =
-  {
-    shape = Shape.intersect a.shape b.shape;
-    get = (fun i -> f (a.get i) (b.get i));
-  }
+  make (Shape.intersect a.shape b.shape) (fun i -> f (a.get i) (b.get i))
 
-let zip a b = zip_with (fun x y -> (x, y)) a b
+(* Pairs directly rather than through [zip_with]'s closure. *)
+let zip : type i a b. (i, a) t -> (i, b) t -> (i, a * b) t =
+ fun a b ->
+  let shape = Shape.intersect a.shape b.shape in
+  match (a.src, b.src) with
+  | Floats (x, ox), Floats (y, oy) ->
+      make shape (fun i -> (Float.Array.get x (ox + i), Float.Array.get y (oy + i)))
+  | _ -> make shape (fun i -> (a.get i, b.get i))
 
-let enumerate t = { shape = t.shape; get = (fun i -> (i, t.get i)) }
+let enumerate t = make t.shape (fun i -> (i, t.get i))
 
 (** 1-D sub-range view; indices are rebased to start at zero.  This is
     the work-distribution half of slicing — the data-distribution half
     lives with the iterator's payload (section 3.5). *)
-let slice (t : (int, 'a) t) off len =
+let slice : type a. (int, a) t -> int -> int -> (int, a) t =
+ fun t off len ->
   match t.shape with
-  | Shape.Seq n ->
+  | Shape.Seq n -> (
       if off < 0 || len < 0 || off + len > n then invalid_arg "Indexer.slice";
       (* full-range slices (the sequential-execution path) add no
-         rebasing closure to the per-element lookup chain *)
+         rebasing closure to the per-element lookup chain; a float leaf
+         rebases inside its own getter *)
       if off = 0 && len = n then t
-      else { shape = Shape.seq len; get = (fun i -> t.get (off + i)) }
+      else
+        match t.src with
+        | Floats (a, o) -> float_leaf a (o + off) len
+        | Fn -> make (Shape.seq len) (fun i -> t.get (off + i)))
 
 (* Conversions down the control-flexibility order of Figure 1: an
    indexer can become a stepper, fold, or collector, never the other

@@ -22,9 +22,12 @@
     {!Fault.spec} the envelope also carries a CRC.  The loop works in
     rounds:
 
-    - a round delivers task frames and then reads every answer it is
-      owed, node by node in id order — a reply, a failure report, a
-      refusal, or the node's death.  Nothing is timed: a round ends
+    - a round delivers its task frames as one batch and then reads
+      every answer it is owed, node by node in id order — a reply, a
+      failure report, a refusal, or the node's death.  The process
+      link writes a batch to every node at once (one writer thread per
+      node beyond the first, all joined before the first read), so all
+      children receive in parallel.  Nothing is timed: a round ends
       when nothing is left in flight, which makes the fault schedule,
       and with it the report, a function of the seed alone on both
       backends;
@@ -69,14 +72,23 @@ module Obs = Triolet_obs.Obs
 
 (* Span taxonomy (DESIGN.md, Observability): every wall-clock phase of
    a distributed run is wrapped so a trace accounts for ~all of the
-   call's time.  [cluster.serialize] covers describing a slice (its
-   borrowed ranges, no copy) and, on the fault path, encoding it to the
-   bytes a retry re-sends; [cluster.send] the transfer, which includes
-   the encoding whenever it streams into the link (and the in-process
-   link's materialization); [cluster.recv] the receive, including decode;
-   [cluster.compute] the node work; [cluster.merge] the final fold.
-   [cluster.retry] only appears on the fault path and overlaps the
-   others, so it is excluded from phase-sum coverage checks. *)
+   call's time.  [cluster.fork] and [cluster.shutdown] bracket a process
+   call: forking the children, and closing and reaping them.
+   [cluster.serialize] covers describing a slice (its borrowed ranges,
+   no copy) and, on the fault path, encoding it to the bytes a retry
+   re-sends; [cluster.send] one batch of frames, from its first write to
+   its last, which includes the encoding whenever it streams into the
+   link (and the in-process link's materialization); [cluster.recv] the
+   receive, including decode; [cluster.compute] the node work;
+   [cluster.merge] the final fold.  [cluster.retry] only appears on the
+   fault path and overlaps the others, so it is excluded from phase-sum
+   coverage checks.
+
+   Every span is recorded on the calling thread.  The process link's
+   writer threads record none: Obs rings are per domain, and systhreads
+   share their domain's ring, so spans opened on two threads at once
+   would corrupt its nesting.  A batch's [cluster.send] therefore runs
+   from the first write to the last writer's join. *)
 let node_attr node = [ ("node", string_of_int node) ]
 
 (* Execution backends.  [Flat] is the in-process transport with Eden's
@@ -204,9 +216,13 @@ type 'reply answer =
   | Refused  (** the task frame failed to decode *)
   | Died  (** the node is gone, with every frame still queued for it *)
 
-(* [send] delivers one task frame to a node; [recv] blocks for that
-   node's answer to the oldest frame it has not answered yet. *)
-type link = { send : int -> Codec.msg -> unit; recv : int -> Bytes.t answer }
+(* [send] delivers a batch of task frames, [(node, frame)], each node's
+   in batch order; [recv] blocks for that node's answer to the oldest
+   frame it has not answered yet. *)
+type link = {
+  send : (int * Codec.msg) list -> unit;
+  recv : int -> Bytes.t answer;
+}
 
 (* Remote failure report: the worker id whose task raised, plus the
    exception rendered as text (exceptions, like all code, never cross a
@@ -246,7 +262,8 @@ let run_task ~task_codec ~reply_codec ~crash ~work ~node ~pool r =
 let inprocess_link ~nodes ~run =
   let inbox = Array.init nodes (fun _ -> Queue.create ()) in
   {
-    send = (fun node m -> Queue.push (Codec.materialize m) inbox.(node));
+    send =
+      List.iter (fun (node, m) -> Queue.push (Codec.materialize m) inbox.(node));
     recv =
       (fun node ->
         match run ~node (Rw.reader_of_bytes (Queue.pop inbox.(node))) with
@@ -261,8 +278,9 @@ let inprocess_link ~nodes ~run =
             Died);
   }
 
-(* Forked nodes: one socket per child, read in the order the engine
-   asks.  A write to a dead child is lost; its EOF answers for it. *)
+(* Forked nodes: one socket per child, written to all at once
+   ({!Transport.Proc.scatter}) and read in the order the engine asks.  A
+   write to a dead child is lost; its EOF answers for it. *)
 let process_link fabric =
   let chan node = (Transport.Proc.node fabric node).Transport.Proc.chan in
   let rec recv node =
@@ -285,12 +303,7 @@ let process_link fabric =
           _ ) ->
         recv node
   in
-  {
-    send =
-      (fun node m ->
-        try Transport.Socket.send_msg (chan node) m with Transport.Closed -> ());
-    recv;
-  }
+  { send = Transport.Proc.scatter fabric; recv }
 
 (* ------------------------------------------------------------------ *)
 (* The engine.                                                         *)
@@ -330,11 +343,13 @@ let gather link ~workers ~spec ~stream ~send_codec ~reply_codec ~envelope_bytes
     incr corrupt_drops;
     Stats.record_corrupt_drop ()
   in
+  (* Frames wait here until the next [collect], which sends them as one
+     batch: the process link writes to every node at once. *)
+  let outbox = ref [] in
   let deliver node m =
     if alive.(node) then begin
       inflight.(node) <- inflight.(node) + 1;
-      Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
-          link.send node m)
+      outbox := (node, m) :: !outbox
     end
   in
   (* Each slice is described and encoded exactly once, on its first
@@ -398,9 +413,15 @@ let gather link ~workers ~spec ~stream ~send_codec ~reply_codec ~envelope_bytes
         if delayed then Queue.push bytes delayed_in else accept bytes;
         if dup then accept bytes
   in
-  (* Read every answer in flight, node by node: the order, and so every
-     fault draw, does not depend on which child happened to be fast. *)
+  (* Send the queued frames, then read every answer in flight, node by
+     node: the order, and so every fault draw, does not depend on which
+     child happened to be fast. *)
   let collect () =
+    (match List.rev !outbox with
+    | [] -> ()
+    | frames ->
+        outbox := [];
+        Obs.span ~name:"cluster.send" (fun () -> link.send frames));
     for node = 0 to workers - 1 do
       while inflight.(node) > 0 do
         inflight.(node) <- inflight.(node) - 1;
@@ -551,7 +572,10 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
                 | Died -> Unix._exit 0)
             | _ -> (* segment residency belongs to Darray sessions *) ())
       in
-      let fabric = Transport.Proc.fork ~n:workers ~child in
+      let fabric =
+        Obs.span ~name:"cluster.fork" (fun () -> Transport.Proc.fork ~n:workers ~child)
+      in
       Fun.protect
-        ~finally:(fun () -> Transport.Proc.shutdown fabric)
+        ~finally:(fun () ->
+          Obs.span ~name:"cluster.shutdown" (fun () -> Transport.Proc.shutdown fabric))
         (fun () -> run_on (process_link fabric))

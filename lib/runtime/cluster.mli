@@ -130,7 +130,13 @@ val run_topology :
       [cores_per_node]-wide pool.  Fails fast (with an explanatory
       [Failure]) if a domain was ever spawned in this process, since
       OCaml then forbids [fork].  A planned crash is a real child exit
-      and a child killed from outside is recovered the same way. *)
+      and a child killed from outside is recovered the same way.  Each
+      round's frames go to every node at once, one writer thread per
+      node beyond the first; all of them are joined before the first
+      reply is read, and an exception a writer raised (other than a
+      closed channel) is then re-raised here, e.g. [Invalid_argument]
+      for a slice range outside its array.  Every child is reaped
+      before the call returns or raises. *)
 
 val on_node : unit -> int option
 (** Inside a forked child: the id of the node this process is.  [None]

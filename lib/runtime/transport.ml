@@ -169,18 +169,39 @@ module Socket = struct
      frame reader pulls it.  A reader never asks the socket for bytes
      past its frame, so a readable descriptor still means a frame is
      waiting ([select] in {!Proc.recv_any} relies on it).  The buffers
-     are allocated on first use: a fork copies every endpoint the
-     parent holds, and most copies are closed unused.  An endpoint has
-     one owner thread at a time.
+     are taken on first use: a fork copies every endpoint the parent
+     holds, and most copies are closed unused.  An endpoint has one
+     owner thread at a time, and only its owner closes it: [close]
+     gives the buffers back to [spare] for the next endpoint.
 
      16 KiB: on the [wire] benchmark 64 KiB buffers were no faster, and
      they raised the peak RSS of the small-frame [service] and
      [resident] workloads by about 8%, against 2-4% at 16 KiB. *)
   let buffer_bytes = 1 lsl 14
 
+  (* Buffers of closed endpoints, at most [spare_max] of them.  A
+     one-shot process call opens fresh endpoints every time, and a
+     16 KiB buffer is allocated outside the minor heap; allocating four
+     per call fragmented the parent's heap (on [wire], about 6 MB more
+     resident, and high-water jumps of 8 MB as data arrays were
+     reallocated).  Lock-free, so a fork never inherits it locked. *)
+  let spare : (int * Bytes.t list) Atomic.t = Atomic.make (0, [])
+  let spare_max = 32
+
+  let rec take () =
+    match Atomic.get spare with
+    | _, [] -> Bytes.create buffer_bytes
+    | (n, b :: rest) as s -> if Atomic.compare_and_set spare s (n - 1, rest) then b else take ()
+
+  let rec give b =
+    match Atomic.get spare with
+    | n, _ when n >= spare_max -> ()
+    | (n, l) as s -> if not (Atomic.compare_and_set spare s (n + 1, b :: l)) then give b
+
   type t = {
     fd : Unix.file_descr;
     mutable closed : bool;
+    outb : Bytes.t Lazy.t;  (* [out]'s buffer *)
     out : Rw.writer Lazy.t;
     budget : int ref;  (* bytes the frame being sent may still put on the wire *)
     hdr : Bytes.t;  (* a header, sent or received, on its way *)
@@ -209,13 +230,15 @@ module Socket = struct
       write_all fd buf off len;
       budget := !budget - len
     in
+    let outb = lazy (take ()) in
     {
       fd;
       closed = false;
-      out = lazy (Rw.create_writer ~capacity:buffer_bytes ~flush ());
+      outb;
+      out = lazy (Rw.create_writer ~buf:(Lazy.force outb) ~flush ());
       budget;
       hdr = Bytes.create Protocol.header_len;
-      inb = lazy (Bytes.create buffer_bytes);
+      inb = lazy (take ());
     }
 
   let fd t = t.fd
@@ -335,7 +358,8 @@ module Socket = struct
   let close t =
     if not t.closed then begin
       t.closed <- true;
-      try Unix.close t.fd with Unix.Unix_error _ -> ()
+      (try Unix.close t.fd with Unix.Unix_error _ -> ());
+      List.iter (fun b -> if Lazy.is_val b then give (Lazy.force b)) [ t.outb; t.inb ]
     end
 end
 
@@ -364,7 +388,7 @@ module Proc = struct
      the caller's [~finally].  Frame I/O itself stays lock-free: the
      fabric has a single protocol owner (the run loop or the service
      dispatcher), and signals ([kill]) are async-safe anyway. *)
-  type t = { nodes : node array; lock : Mutex.t; mutable shut : bool }
+  type t = { nodes : node array; lock : Mutex.t }
 
   let node t i = t.nodes.(i)
   let pid t i = t.nodes.(i).pid
@@ -411,7 +435,38 @@ module Proc = struct
     in
     (* Parent: the child ends belong to the children now. *)
     Array.iter (fun (_, child_end) -> Socket.close child_end) pairs;
-    { nodes; lock = Mutex.create (); shut = false }
+    { nodes; lock = Mutex.create () }
+
+  (** Put every node's frames on the wire at once, so all children
+      receive in parallel: the caller writes the first node's frames and
+      one systhread per further node writes that node's, each in list
+      order.  A frame to a closed channel is dropped (the node's EOF
+      answers for it).  Every thread is joined before this returns or
+      raises; any other exception a writer raised (say
+      [Codec.Size_mismatch]) is then re-raised here, the first in node
+      order.  The writers touch nothing but their node's channel, so
+      the caller must not use those channels until this returns. *)
+  let scatter t frames =
+    let n = Array.length t.nodes in
+    let queued = Array.make n [] in
+    List.iter (fun (i, m) -> queued.(i) <- m :: queued.(i)) (List.rev frames);
+    let failed = Array.make n None in
+    let write i =
+      let chan = t.nodes.(i).chan in
+      try List.iter (fun m -> try Socket.send_msg chan m with Closed -> ()) queued.(i)
+      with e -> failed.(i) <- Some e
+    in
+    let busy = List.filter (fun i -> not (List.is_empty queued.(i))) (List.init n Fun.id) in
+    (match busy with
+    | [] -> ()
+    | first :: rest ->
+        let writers = ref [] in
+        Fun.protect
+          ~finally:(fun () -> List.iter Thread.join !writers)
+          (fun () ->
+            List.iter (fun i -> writers := Thread.create write i :: !writers) rest;
+            write first));
+    Array.iter (Option.iter raise) failed
 
   (** Multiplexed receive: the next frame from any live child, that
       child's EOF, a timeout, or — when [wake] is given — [`Wake] once
@@ -441,13 +496,16 @@ module Proc = struct
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Timeout
 
   (* Reap one child: EOF-induced exit first (closing our end already
-     told it to stop), then a grace window, then SIGKILL.  Idempotent:
-     the [reaped] flag (set under [lock] by callers) ensures a pid is
-     waited for exactly once, so a double-shutdown or a shutdown racing
-     a concurrent reap can never wait on a recycled pid. *)
+     told it to stop), then a grace window, then SIGKILL.  The polls
+     back off from 50 us to 2 ms, so a child that exits soon after its
+     EOF is collected soon after, not at the next 2 ms tick: one-shot
+     calls reap on every call.  Idempotent: the [reaped] flag (set under
+     [lock] by callers) ensures a pid is waited for exactly once, so a
+     double-shutdown or a shutdown racing a concurrent reap can never
+     wait on a recycled pid. *)
   let reap_node ?(grace = 1.0) n =
     let deadline = Clock.monotonic_ns () + int_of_float (grace *. 1e9) in
-    let rec wait_nohang () =
+    let rec wait_nohang pause =
       match Unix.waitpid [ Unix.WNOHANG ] n.pid with
       | 0, _ ->
           if Clock.monotonic_ns () >= deadline then begin
@@ -455,14 +513,14 @@ module Proc = struct
             ignore (try Unix.waitpid [] n.pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
           end
           else begin
-            Unix.sleepf 0.002;
-            wait_nohang ()
+            Unix.sleepf pause;
+            wait_nohang (Float.min (2.0 *. pause) 0.002)
           end
       | _ -> ()
       | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_nohang ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_nohang pause
     in
-    wait_nohang ()
+    wait_nohang 50e-6
 
   (* Claim the right to reap [n]'s current pid; at most one caller wins. *)
   let claim_reap t n =
@@ -526,11 +584,6 @@ module Proc = struct
       a no-op for already-reaped children and never raises, so it is
       safe inside a [~finally]. *)
   let shutdown ?grace t =
-    Mutex.lock t.lock;
-    let first = not t.shut in
-    t.shut <- true;
-    Mutex.unlock t.lock;
-    ignore first;
     Array.iter
       (fun n ->
         n.alive <- false;

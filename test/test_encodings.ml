@@ -348,6 +348,64 @@ let prop_indexer_slice_concat =
       in
       glued = Indexer.to_list ix)
 
+(* Float leaves.  A slice of a float leaf rebases inside the leaf's own
+   getter, and a zip of two leaves reads both arrays in one getter; the
+   model for each is the same view built through [Indexer.init], so an
+   offset that slips by one element shows (or reads past the array). *)
+
+let gen_floats =
+  QCheck2.Gen.(
+    map Float.Array.of_list
+      (list_size (int_bound 40) (map float_of_int (int_range (-1000) 1000))))
+
+(* Each step picks an offset and a length within the current view; the
+   flag makes the slice run to the view's last element. *)
+let gen_steps = QCheck2.Gen.(list_size (int_bound 4) (triple nat nat bool))
+
+(* The leaf after [steps] nested slices, and its model. *)
+let sliced_leaf a steps =
+  let leaf, base, n =
+    List.fold_left
+      (fun (ix, base, n) (x, y, to_end) ->
+        let off = x mod (n + 1) in
+        let len = if to_end then n - off else y mod (n - off + 1) in
+        (Indexer.slice ix off len, base + off, len))
+      (Indexer.of_floatarray a, 0, Float.Array.length a)
+      steps
+  in
+  (leaf, Indexer.init (Shape.seq n) (fun i -> Float.Array.get a (base + i)))
+
+let same_view ix model =
+  let n = Indexer.size model in
+  let rev ix = Indexer.fold (fun acc x -> x :: acc) [] ix in
+  Indexer.size ix = n
+  && List.for_all (fun i -> Indexer.get ix i = Indexer.get model i) (List.init n Fun.id)
+  && rev ix = rev model
+
+let sum_float ix = Seq_iter.sum_float (Seq_iter.of_indexer ix)
+
+let prop_float_leaf_slices =
+  qtest "float leaf: slices agree with init"
+    QCheck2.Gen.(pair gen_floats gen_steps)
+    (fun (a, steps) ->
+      let leaf, model = sliced_leaf a steps in
+      same_view leaf model && sum_float leaf = sum_float model)
+
+let prop_float_leaf_zips =
+  qtest "float leaf: zips agree with init"
+    QCheck2.Gen.(quad gen_floats gen_steps gen_floats gen_steps)
+    (fun (a, sa, b, sb) ->
+      let la, ma = sliced_leaf a sa and lb, mb = sliced_leaf b sb in
+      (* a generic leaf: an opaque lookup over [b]'s view *)
+      let g = Indexer.map (fun x -> x *. 0.5) mb in
+      let dot ix = sum_float (Indexer.map (fun (x, y) -> x *. y) ix) in
+      same_view (Indexer.zip la lb) (Indexer.zip ma mb)
+      && same_view (Indexer.zip la g) (Indexer.zip ma g)
+      && same_view (Indexer.zip g la) (Indexer.zip g ma)
+      && same_view (Indexer.zip_with ( -. ) la lb) (Indexer.zip_with ( -. ) ma mb)
+      && dot (Indexer.zip la lb) = dot (Indexer.zip ma mb)
+      && dot (Indexer.zip la g) = dot (Indexer.zip ma g))
+
 let prop_conversions_agree =
   qtest "stepper/folder/collector agree on contents" gen_small_list (fun l ->
       let st = Stepper.of_list l in
@@ -421,6 +479,8 @@ let () =
           Alcotest.test_case "enumerate" `Quick test_indexer_enumerate;
           prop_indexer_slice_concat;
           prop_conversions_agree;
+          prop_float_leaf_slices;
+          prop_float_leaf_zips;
         ] );
       ( "figure1",
         [

@@ -18,6 +18,40 @@ let () = Pool.set_default_width 1
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Process state from /proc, for the leak checks. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let proc_entries dir = Array.length (Sys.readdir dir)
+
+(* Children of every thread of this process, zombies included. *)
+let children () =
+  let dir = "/proc/self/task" in
+  Array.to_list (Sys.readdir dir)
+  |> List.concat_map (fun tid ->
+         match read_file (Printf.sprintf "%s/%s/children" dir tid) with
+         | s ->
+             String.split_on_char ' ' (String.trim s) |> List.filter_map int_of_string_opt
+         | exception Sys_error _ -> [])
+
+(* Child processes, open descriptors and threads of this process. *)
+let footprint () =
+  (List.length (children ()), proc_entries "/proc/self/fd", proc_entries "/proc/self/task")
+
+(* A joined thread may take a moment to leave /proc/self/task, so the
+   footprint gets up to a second to settle back to [before]. *)
+let check_footprint name before =
+  let deadline = Clock.monotonic_ns () + 1_000_000_000 in
+  let rec settle () =
+    let now = footprint () in
+    if now = before || Clock.monotonic_ns () > deadline then now
+    else (
+      Unix.sleepf 0.001;
+      settle ())
+  in
+  let c, f, t = settle () and c0, f0, t0 = before in
+  check_int (name ^ ": child processes") c0 c;
+  check_int (name ^ ": descriptors") f0 f;
+  check_int (name ^ ": threads") t0 t
+
 (* ------------------------------------------------------------------ *)
 (* Process fabric (fork-dependent: must run before any domain exists)   *)
 
@@ -136,6 +170,23 @@ let test_ping_pong_frames () =
       let kind, payload = Transport.Socket.recv chan in
       check_bool "ping kind preserved" true (kind = Transport.Ping);
       Alcotest.(check string) "payload" "bh" (Bytes.to_string payload))
+
+(* A child that ignores EOF is SIGKILLed once the grace period runs
+   out, and reaped: no zombie is left. *)
+let test_unresponsive_child_killed () =
+  let fabric = Transport.Proc.fork ~n:1 ~child:(fun ~id:_ _ -> Unix.sleepf 60.0) in
+  let pid = Transport.Proc.pid fabric 0 in
+  let grace = 0.2 in
+  let t0 = Clock.monotonic_ns () in
+  Transport.Proc.shutdown ~grace fabric;
+  let waited = float_of_int (Clock.monotonic_ns () - t0) /. 1e9 in
+  check_bool "waited out the grace period" true (waited >= grace);
+  check_bool "killed, not waited for" true (waited < 10.0);
+  check_bool "reaped: no zombie" true
+    (match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false);
+  check_bool "not among this process's children" false (List.mem pid (children ()))
 
 (* ------------------------------------------------------------------ *)
 (* Streamed framing over a socketpair                                   *)
@@ -409,6 +460,66 @@ let test_noisy_faults_recovered () =
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Concurrent scatter: every node's frames go out at once, one writer
+   thread per node beyond the first.                                    *)
+
+(* A codec that declares the wrong size on node 1 only: the scatter
+   still joins node 0's writer, whose frame arrives whole, and then
+   raises the mismatch on the caller. *)
+let test_scatter_raises_size_mismatch () =
+  let fabric = Transport.Proc.fork ~n:2 ~child:echo_child in
+  Fun.protect
+    ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
+    (fun () ->
+      let v = floats 40_000 in
+      let good = Codec.msg Codec.floatarray v in
+      let raised =
+        mismatch_raised (fun () ->
+            Transport.Proc.scatter fabric
+              [ (0, good); (1, Codec.msg (lying_codec 80_000) v) ])
+      in
+      check_bool "size mismatch reaches the caller" true (raised <> None);
+      let chan0 = (Transport.Proc.node fabric 0).Transport.Proc.chan in
+      let _, echoed = Transport.Socket.recv chan0 in
+      check_bool "node 0's frame arrived whole" true
+        (reverse_bytes echoed = Codec.to_bytes Codec.floatarray v))
+
+(* Node 1's slice names a range outside its array.  The encoder raises
+   inside node 1's writer thread, after part of the frame has left; the
+   call raises that exception, not a node failure. *)
+let bad_range_sum () =
+  let n = 100_000 in
+  let xs = Float.Array.init n float_of_int in
+  Cluster.run_topology
+    { Cluster.nodes = 3; cores_per_node = 1; backend = Cluster.Process }
+    ~scatter:(fun node ->
+      Payload.Float_range (xs, 0, n)
+      :: (if node = 1 then [ Payload.Float_range (xs, 1, n) ] else []))
+    ~work:(fun ~node:_ ~pool:_ _ -> 0)
+    ~result_codec:Codec.int ~merge:( + ) ~init:0
+
+let test_sender_exception_reaches_caller () =
+  match bad_range_sum () with
+  | _ -> Alcotest.fail "the bad range was not reported"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "the encoder's own exception" "Payload: float range" msg
+
+(* No writer thread, child process or descriptor outlives a process
+   call, whether it succeeds or fails.  The first call warms up: the
+   runtime starts its tick thread with the first systhread and keeps
+   it. *)
+let test_process_call_leaks_nothing () =
+  let topo = { Cluster.nodes = 3; cores_per_node = 1; backend = Cluster.Process } in
+  ignore (run_sum topo);
+  let before = footprint () in
+  ignore (run_sum topo);
+  check_footprint "after a successful call" before;
+  (match bad_range_sum () with
+  | _ -> Alcotest.fail "the bad range was not reported"
+  | exception Invalid_argument _ -> ());
+  check_footprint "after a failing call" before
+
+(* ------------------------------------------------------------------ *)
 (* Backend naming.                                                     *)
 
 let test_backend_strings () =
@@ -579,6 +690,8 @@ let () =
             test_shutdown_with_dying_child;
           Alcotest.test_case "kill and respawn" `Quick test_kill_respawn_echo;
           Alcotest.test_case "ping/pong frames" `Quick test_ping_pong_frames;
+          Alcotest.test_case "unresponsive child killed" `Quick
+            test_unresponsive_child_killed;
         ] );
       ( "socket-stream",
         [
@@ -603,6 +716,15 @@ let () =
             test_external_kill_recovered;
           Alcotest.test_case "noisy links recovered" `Quick
             test_noisy_faults_recovered;
+        ] );
+      ( "process-scatter",
+        [
+          Alcotest.test_case "size mismatch on one node" `Quick
+            test_scatter_raises_size_mismatch;
+          Alcotest.test_case "sender exception raised" `Quick
+            test_sender_exception_reaches_caller;
+          Alcotest.test_case "no leaks after a call" `Quick
+            test_process_call_leaks_nothing;
         ] );
       ( "backend-api",
         [
