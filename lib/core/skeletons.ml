@@ -159,8 +159,9 @@ let distributed_map_blocks ?ctx ~blocks ~slice_of ~node_work ~result_codec ()
 (* ------------------------------------------------------------------ *)
 (* Resident (persistent) distributed state                             *)
 
-(** Warm resident fabric for iterative skeletons, geometry and backend
-    from the context like every other skeleton here.  Under the
+(** Warm resident fabric for iterative skeletons, geometry, backend
+    and fault plan from the context like every other skeleton here (the
+    plan only decides whether frames carry a CRC).  Under the
     [Process] backend this forks the per-node children, so call it
     before any domain is spawned (in particular before [Pool.default]
     is first touched). *)
@@ -169,7 +170,7 @@ let resident_session ?ctx ?hb_interval ?miss_threshold ~work () =
   Obs.span ~name:"skel.resident_session" (fun () ->
       Darray.create_session
         ~topology:(Exec.topology ctx)
-        ?hb_interval ?miss_threshold ~work ())
+        ?faults:ctx.Exec.faults ?hb_interval ?miss_threshold ~work ())
 
 (** Block boundaries {!resident_segments} uses: one block per resident
     node (a Darray session holds one segment table per topology node,

@@ -87,7 +87,9 @@ val resident_session :
   work:Triolet_runtime.Darray.work ->
   unit ->
   Triolet_runtime.Darray.session
-(** Warm resident fabric with topology from the context.  Under the
+(** Warm resident fabric with topology and fault plan from the
+    context: its frames carry a CRC exactly when [ctx.faults] is set
+    ({!Triolet_runtime.Cluster.envelope}).  Under the
     [Process] backend this forks the node children — create it before
     any domain is spawned. *)
 

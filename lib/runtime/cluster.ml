@@ -311,6 +311,13 @@ let process_link fabric =
 (* Fault-free means this plan: nothing injected, one attempt. *)
 let fault_free = Fault.spec ~max_attempts:1 ~seed:0 ()
 
+(* The one envelope rule, shared with {!Darray}: a CRC exactly when a
+   fault plan is set.  Over a local socketpair or a byte queue the
+   injector is the only thing that corrupts a frame, so a fault-free
+   frame carries no checksum and can stream. *)
+let envelope ?faults c =
+  match (faults : Fault.spec option) with None -> c | Some _ -> Codec.checksummed c
+
 let gather link ~workers ~spec ~stream ~send_codec ~reply_codec ~envelope_bytes
     ~scatter ~merge ~init =
   let fault = Fault.make spec in
@@ -520,11 +527,8 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
   if topo.nodes <= 0 || topo.cores_per_node <= 0 then
     invalid_arg "Cluster.run: bad config";
   let workers = topology_workers topo in
-  let spec, envelope =
-    match faults with
-    | None -> (fault_free, fun c -> Codec.(triple int int c))
-    | Some spec -> (spec, fun c -> Codec.(checksummed (triple int int c)))
-  in
+  let spec = Option.value faults ~default:fault_free in
+  let envelope c = envelope ?faults Codec.(triple int int c) in
   (* Only a fault-free call streams its slices: a fault plan acts on
      bytes, and its retries re-send them. *)
   let stream = Option.is_none faults in

@@ -138,6 +138,14 @@ val run_topology :
       for a slice range outside its array.  Every child is reaped
       before the call returns or raises. *)
 
+val envelope : ?faults:Fault.spec -> 'a Triolet_base.Codec.t -> 'a Triolet_base.Codec.t
+(** The envelope rule every runtime frames its messages by: [envelope
+    ~faults c] is [c] inside {!Triolet_base.Codec.checksummed}, and
+    [envelope c] is [c] itself.  A CRC is paid exactly when a fault plan
+    is set, since without one nothing on a local socketpair or byte
+    queue corrupts a frame.  {!run_topology} chooses its [(worker, seq)]
+    envelope with it, and {!Darray} its segment codecs. *)
+
 val on_node : unit -> int option
 (** Inside a forked child: the id of the node this process is.  [None]
     in the parent and under in-process backends (where task code can

@@ -62,10 +62,20 @@
     segment's encoded put frame (encoded once per version — see
     {!Stats.record_encode}); on a child's EOF it forgets that node's
     believed residency, and the next issue replays the owning segments
-    from the retained bytes through the same checksummed envelope the
-    first install used, then re-issues the task.  First-round results
-    are byte-identical to the non-resident path because the child
-    computes from decoded copies either way. *)
+    from exactly the retained bytes the first install sent, then
+    re-issues the task.  First-round results are byte-identical to the
+    non-resident path because the child computes from decoded copies
+    either way.
+
+    {2 Envelopes}
+
+    A session follows the engine's rule ({!Cluster.envelope}): its
+    frames carry a CRC exactly when it was created with a fault plan.
+    Without one, a frame is the bare encoding, 12 bytes shorter, and
+    task, reply, [Err] and [Nack] frames stream through the socket's
+    fixed buffers instead of being held whole.  Puts stay retained as
+    bytes under either envelope.  ({!Service} is the one runtime that
+    still checksums every frame.) *)
 
 module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
@@ -76,26 +86,38 @@ let log_src = Logs.Src.create "triolet.darray" ~doc:"Distributed arrays"
 module Log = (val Logs.src_log log_src)
 
 (* ------------------------------------------------------------------ *)
-(* Wire codecs.  Every frame that crosses a channel travels in a
-   checksummed envelope, like the cluster fault path: corruption is
-   refused by CRC before any decoder runs.                             *)
+(* Wire codecs.  A session frames everything with one table, chosen by
+   the engine's envelope rule ({!Cluster.envelope}): under a fault plan
+   every frame carries a CRC and corruption is refused before any
+   decoder runs; without one the frames are the bare encodings.        *)
 
 (* (darray id, wire segment index, version) *)
 let key_codec = Codec.(triple int int int)
-let put_codec = Codec.checksummed Codec.(pair key_codec Payload.codec)
-let reuse_codec = Codec.checksummed key_codec
-let free_codec = Codec.checksummed Codec.int
 
-(* (seq, expected resident keys in concatenation order, argument) *)
-let task_codec =
-  Codec.checksummed Codec.(triple int (list key_codec) Payload.codec)
+type codecs = {
+  put : ((int * int * int) * Payload.t) Codec.t;
+  reuse : (int * int * int) Codec.t;
+  free : int Codec.t;
+  task : (int * (int * int * int) list * Payload.t) Codec.t;
+      (* (seq, expected resident keys in concatenation order, argument) *)
+  reply : (int * Payload.t) Codec.t;  (* (seq, result) *)
+  err : (int * string) Codec.t;
+  nack : (int * int * int) Codec.t;
+}
 
-(* (seq, result) *)
-let reply_codec = Codec.checksummed Codec.(pair int Payload.codec)
-let err_codec = Codec.checksummed Codec.(pair int string)
+let codecs ?faults () =
+  let e c = Cluster.envelope ?faults c in
+  {
+    put = e Codec.(pair key_codec Payload.codec);
+    reuse = e key_codec;
+    free = e Codec.int;
+    task = e Codec.(triple int (list key_codec) Payload.codec);
+    reply = e Codec.(pair int Payload.codec);
+    err = e Codec.(pair int string);
+    nack = e key_codec;
+  }
 
 (* A Nack names the refused key; task-level rejects use this sentinel. *)
-let nack_codec = Codec.checksummed key_codec
 let nack_task = (-1, -1, -1)
 
 let max_attempts = 8
@@ -115,6 +137,7 @@ type mode =
 type session = {
   nodes : int;
   work : work;
+  codecs : codecs;
   mode : mode;
   believed : (int * int, int) Hashtbl.t array;
       (* per node: (did, wire seg) -> version the parent believes
@@ -127,21 +150,21 @@ type session = {
 (* Child serve loop (process mode).  Inherited across the fork; the
    segment table lives here, in the child's own address space.  A
    respawned incarnation starts with an empty table — exactly the state
-   the parent's cleared beliefs assume. *)
-let serve ~work ~id chan =
+   the parent's cleared beliefs assume.  Frames are decoded off the
+   socket and answers encoded into it, through its fixed buffers. *)
+let serve ~codecs:c ~work ~id chan =
   let table : (int * int, int * Payload.t) Hashtbl.t = Hashtbl.create 16 in
   let nack key =
-    Transport.Socket.send chan ~kind:Transport.Nack
-      (Codec.to_bytes nack_codec key)
+    Transport.Socket.send_msg chan ~kind:Transport.Nack (Codec.msg c.nack key)
   in
   Cluster.serve ~tag:"darray-" ~id chan (fun kind r ->
       match kind with
       | Transport.Seg_put -> (
-          match Codec.of_reader put_codec r with
+          match Codec.of_reader c.put r with
           | exception _ -> nack nack_task
           | (did, seg, ver), payload -> Hashtbl.replace table (did, seg) (ver, payload))
       | Transport.Seg_reuse -> (
-          match Codec.of_reader reuse_codec r with
+          match Codec.of_reader c.reuse r with
           | exception _ -> nack nack_task
           | (did, seg, ver) as key -> (
               match Hashtbl.find_opt table (did, seg) with
@@ -151,7 +174,7 @@ let serve ~work ~id chan =
                      loudly so the parent replays the put. *)
                   nack key))
       | Transport.Seg_free -> (
-          match Codec.of_reader free_codec r with
+          match Codec.of_reader c.free r with
           | exception _ -> ()
           | did ->
               Hashtbl.filter_map_inplace
@@ -159,7 +182,7 @@ let serve ~work ~id chan =
                 table)
       | _ -> (
           (* a [Data] frame: one task *)
-          match Codec.of_reader task_codec r with
+          match Codec.of_reader c.task r with
           | exception _ -> nack nack_task
           | seq, keys, arg -> (
               (* Re-check every expected key before computing: a task that
@@ -176,17 +199,16 @@ let serve ~work ~id chan =
               | Error key -> nack key
               | Ok resident -> (
                   match work ~node:id ~resident ~arg with
-                  | r ->
-                      Transport.Socket.send chan
-                        (Codec.to_bytes reply_codec (seq, r))
+                  | r -> Transport.Socket.send_msg chan (Codec.msg c.reply (seq, r))
                   | exception e ->
-                      Transport.Socket.send chan ~kind:Transport.Err
-                        (Codec.to_bytes err_codec (seq, Printexc.to_string e))))))
+                      Transport.Socket.send_msg chan ~kind:Transport.Err
+                        (Codec.msg c.err (seq, Printexc.to_string e))))))
 
-let create_session ?(topology = Cluster.default_topology) ?hb_interval
+let create_session ?(topology = Cluster.default_topology) ?faults ?hb_interval
     ?miss_threshold ?backoff_base ?backoff_max ~work () =
   let nodes = topology.Cluster.nodes in
   if nodes < 1 then invalid_arg "Darray: topology needs at least one node";
+  let codecs = codecs ?faults () in
   let mode =
     match topology.Cluster.backend with
     | Cluster.Inprocess | Cluster.Flat ->
@@ -197,9 +219,10 @@ let create_session ?(topology = Cluster.default_topology) ?hb_interval
             "Darray: a process-mode session forks one child per node, and \
              OCaml cannot fork once any domain has been spawned.  Create \
              the session before any multi-domain pool.";
-        let fabric = Transport.Proc.fork ~n:nodes ~child:(serve ~work) in
+        let serve = serve ~codecs ~work in
+        let fabric = Transport.Proc.fork ~n:nodes ~child:serve in
         let sup =
-          Supervisor.create ~fabric ~serve:(serve ~work)
+          Supervisor.create ~fabric ~serve
             ?hb_interval:(Some (Option.value hb_interval ~default:0.5))
             ?miss_threshold:(Some (Option.value miss_threshold ~default:4))
             ?backoff_base ?backoff_max ()
@@ -209,6 +232,7 @@ let create_session ?(topology = Cluster.default_topology) ?hb_interval
   {
     nodes;
     work;
+    codecs;
     mode;
     believed = Array.init nodes (fun _ -> Hashtbl.create 16);
     next_did = 0;
@@ -373,7 +397,7 @@ let key_of (d, w, seg) = (d.did, w, seg.version)
 
 (* Encoded put frame for one segment — encoded at most once per
    version; retries and crash replay reuse the retained bytes. *)
-let encoded_put (d, w, seg) =
+let encoded_put s (d, w, seg) =
   match seg.encoded with
   | Some b -> b
   | None ->
@@ -382,7 +406,7 @@ let encoded_put (d, w, seg) =
           ~attrs:[ ("darray", string_of_int d.did); ("seg", string_of_int w) ]
           (fun () ->
             Stats.record_encode ();
-            Codec.to_bytes put_codec ((d.did, w, seg.version), seg.payload))
+            Codec.to_bytes s.codecs.put ((d.did, w, seg.version), seg.payload))
       in
       seg.encoded <- Some b;
       b
@@ -400,12 +424,12 @@ let ensure_residency s n plan ~put ~reuse =
       let key = (d.did, w) in
       match Hashtbl.find_opt s.believed.(n) key with
       | Some v when v = seg.version ->
-          let bytes = Codec.to_bytes reuse_codec (key_of item) in
+          let bytes = Codec.to_bytes s.codecs.reuse (key_of item) in
           reuse item bytes;
           shipped := !shipped + Bytes.length bytes;
           Stats.record_message ~bytes:(Bytes.length bytes)
       | _ ->
-          let bytes = encoded_put item in
+          let bytes = encoded_put s item in
           put item bytes;
           Hashtbl.replace s.believed.(n) key seg.version;
           shipped := !shipped + Bytes.length bytes;
@@ -447,7 +471,7 @@ let run_local s tables v ~arg ~merge ~init =
        fresh-copy guarantee the socket gives the process mode. *)
     let put (d, w, _) bytes =
       count bytes;
-      let (_, _, ver), payload = Codec.of_bytes put_codec bytes in
+      let (_, _, ver), payload = Codec.of_bytes s.codecs.put bytes in
       Hashtbl.replace tables.(n) (d.did, w) (ver, payload)
     in
     let reuse _ bytes = count bytes in
@@ -456,12 +480,12 @@ let run_local s tables v ~arg ~merge ~init =
        exactly like a cluster scatter. *)
     s.seq <- s.seq + 1;
     let keys = List.map key_of plan in
-    let task = Codec.to_bytes task_codec (s.seq, keys, arg n) in
+    let task = Codec.to_bytes s.codecs.task (s.seq, keys, arg n) in
     max_msg := max !max_msg (Bytes.length task);
     scatter_bytes := !scatter_bytes + Bytes.length task;
     incr scatter_msgs;
     Stats.record_message ~bytes:(Bytes.length task);
-    let _, _, arg_fresh = Codec.of_bytes task_codec task in
+    let _, _, arg_fresh = Codec.of_bytes s.codecs.task task in
     let resident =
       List.concat_map
         (fun (d, w, _) ->
@@ -474,12 +498,12 @@ let run_local s tables v ~arg ~merge ~init =
       Obs.span ~name:"darray.compute" ~attrs:[ ("node", string_of_int n) ]
         (fun () -> s.work ~node:n ~resident ~arg:arg_fresh)
     in
-    let reply = Codec.to_bytes reply_codec (s.seq, r) in
+    let reply = Codec.to_bytes s.codecs.reply (s.seq, r) in
     max_msg := max !max_msg (Bytes.length reply);
     gather_bytes := !gather_bytes + Bytes.length reply;
     incr gather_msgs;
     Stats.record_message ~bytes:(Bytes.length reply);
-    let _, r_fresh = Codec.of_bytes reply_codec reply in
+    let _, r_fresh = Codec.of_bytes s.codecs.reply reply in
     acc := merge !acc r_fresh
   done;
   ( !acc,
@@ -507,9 +531,9 @@ let run_proc s { fabric; sup } v ~arg ~merge ~init =
   let attempts = Array.make s.nodes 0 in
   let pending = Array.make s.nodes false in
   let outstanding = ref s.nodes in
-  let send_frame n ~kind bytes =
-    max_msg := max !max_msg (Bytes.length bytes);
-    try Transport.Socket.send (Transport.Proc.node fabric n).chan ~kind bytes
+  let send_frame n ~kind (m : Codec.msg) =
+    max_msg := max !max_msg m.size;
+    try Transport.Socket.send_msg (Transport.Proc.node fabric n).chan ~kind m
     with Transport.Closed ->
       (* Died under our feet; the EOF surfaces via recv_any. *)
       ()
@@ -523,16 +547,18 @@ let run_proc s { fabric; sup } v ~arg ~merge ~init =
       Stats.record_retry ()
     end;
     let plan = plan_for_node v n in
-    let put _ bytes = send_frame n ~kind:Transport.Seg_put bytes in
-    let reuse _ bytes = send_frame n ~kind:Transport.Seg_reuse bytes in
+    let put _ bytes = send_frame n ~kind:Transport.Seg_put (Codec.bytes_msg bytes) in
+    let reuse _ bytes = send_frame n ~kind:Transport.Seg_reuse (Codec.bytes_msg bytes) in
     scatter_bytes := !scatter_bytes + ensure_residency s n plan ~put ~reuse;
     scatter_msgs := !scatter_msgs + List.length plan;
     s.seq <- s.seq + 1;
     expected_seq.(n) <- s.seq;
-    let task = Codec.to_bytes task_codec (s.seq, List.map key_of plan, arg n) in
-    scatter_bytes := !scatter_bytes + Bytes.length task;
+    (* The task frame is encoded straight into the socket: without a
+       fault plan it is never held whole. *)
+    let task = Codec.msg s.codecs.task (s.seq, List.map key_of plan, arg n) in
+    scatter_bytes := !scatter_bytes + task.size;
     incr scatter_msgs;
-    Stats.record_message ~bytes:(Bytes.length task);
+    Stats.record_message ~bytes:task.size;
     Obs.span ~name:"darray.send" ~attrs:[ ("node", string_of_int n) ]
       (fun () -> send_frame n ~kind:Transport.Data task);
     pending.(n) <- false
@@ -573,7 +599,7 @@ let run_proc s { fabric; sup } v ~arg ~merge ~init =
         Supervisor.note_frame sup node k
     | `Msg (node, Transport.Nack, bytes) ->
         Supervisor.note_frame sup node Transport.Nack;
-        (match Codec.of_bytes nack_codec bytes with
+        (match Codec.of_bytes s.codecs.nack bytes with
         | exception _ -> incr corrupt_drops
         | did, seg, ver ->
             Log.debug (fun m ->
@@ -585,7 +611,7 @@ let run_proc s { fabric; sup } v ~arg ~merge ~init =
         if results.(node) = None then issue node
     | `Msg (node, Transport.Err, bytes) -> (
         Supervisor.note_frame sup node Transport.Err;
-        match Codec.of_bytes err_codec bytes with
+        match Codec.of_bytes s.codecs.err bytes with
         | exception _ ->
             incr corrupt_drops;
             Stats.record_corrupt_drop ()
@@ -597,7 +623,7 @@ let run_proc s { fabric; sup } v ~arg ~merge ~init =
         gather_bytes := !gather_bytes + Bytes.length bytes;
         incr gather_msgs;
         Stats.record_message ~bytes:(Bytes.length bytes);
-        match Codec.of_bytes reply_codec bytes with
+        match Codec.of_bytes s.codecs.reply bytes with
         | exception _ ->
             incr corrupt_drops;
             Stats.record_corrupt_drop ()
@@ -659,7 +685,7 @@ let free d =
     d.freed <- true;
     let s = d.session in
     if not s.closed then begin
-      let bytes = Codec.to_bytes free_codec d.did in
+      let bytes = Codec.to_bytes s.codecs.free d.did in
       for n = 0 to s.nodes - 1 do
         (match s.mode with
         | Local tables ->

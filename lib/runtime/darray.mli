@@ -33,6 +33,7 @@ type session
 
 val create_session :
   ?topology:Cluster.topology ->
+  ?faults:Fault.spec ->
   ?hb_interval:float ->
   ?miss_threshold:int ->
   ?backoff_base:float ->
@@ -41,7 +42,10 @@ val create_session :
   unit ->
   session
 (** [create_session ~work ()] builds the resident fabric for
-    [topology] (default {!Cluster.default_topology}).  The supervisor
+    [topology] (default {!Cluster.default_topology}).  [?faults] picks
+    the session's codec table by {!Cluster.envelope}: with a plan
+    every frame carries a CRC, without one none does.  Darray injects
+    no faults itself.  The supervisor
     tunables apply to process mode only; defaults are looser than
     {!Service}'s ([hb_interval] 0.5 s, [miss_threshold] 4) because a
     node computing a long slice cannot answer pings meanwhile. *)
@@ -135,13 +139,24 @@ val run1 :
 (** {1 Wire codecs}
 
     Exposed for tests (qcheck roundtrip/fuzz through
-    {!Protocol.Decoder}) and the simulator's segment-protocol model. *)
+    {!Protocol.Decoder}). *)
 
 val key_codec : (int * int * int) Codec.t
 (** [(darray id, wire segment index, version)]. *)
 
-val put_codec : ((int * int * int) * Payload.t) Codec.t
-val reuse_codec : (int * int * int) Codec.t
-val free_codec : int Codec.t
-val task_codec : (int * (int * int * int) list * Payload.t) Codec.t
-val reply_codec : (int * Payload.t) Codec.t
+type codecs = {
+  put : ((int * int * int) * Payload.t) Codec.t;  (** [(key, segment)] *)
+  reuse : (int * int * int) Codec.t;
+  free : int Codec.t;  (** darray id *)
+  task : (int * (int * int * int) list * Payload.t) Codec.t;
+      (** [(seq, expected resident keys, argument)] *)
+  reply : (int * Payload.t) Codec.t;  (** [(seq, result)] *)
+  err : (int * string) Codec.t;  (** [(seq, exception text)] *)
+  nack : (int * int * int) Codec.t;  (** the refused key *)
+}
+(** One session's frame codecs. *)
+
+val codecs : ?faults:Fault.spec -> unit -> codecs
+(** The table a session created with the same [?faults] uses: each
+    codec in the {!Cluster.envelope} of its bare encoding, so a frame
+    under a plan is 12 bytes longer. *)

@@ -59,6 +59,11 @@ let merge_sum acc = function
 
 let seg_floats ~len v = [ Payload.Floats (Float.Array.make len v) ]
 
+(* A fault plan that injects nothing: it only makes a session frame its
+   messages in the checksummed envelope. *)
+let plan = Fault.spec ~seed:0 ()
+let checksummed = Darray.codecs ~faults:plan ()
+
 let expected_sum segs scale =
   scale
   *. Array.fold_left
@@ -213,6 +218,129 @@ let test_proc_sgemm_first_round_parity () =
       check_bool "warm round ships fewer bytes" true
         (rep2.Cluster.scatter_bytes < rep1.Cluster.scatter_bytes))
 
+(* Without a fault plan a session's frames are the bare encodings: the
+   put and task frames are exactly the 12-byte length-and-CRC header
+   shorter than under a plan, and each round's report counts 12 bytes
+   fewer per frame, with the same results and message counts. *)
+let test_frames_carry_no_crc backend () =
+  let bare = Darray.codecs () in
+  let key = (3, 1, 2) and p = seg_floats ~len:100 1.5 in
+  let body name codec v =
+    let b = Codec.to_bytes (codec bare) v and c = Codec.to_bytes (codec checksummed) v in
+    check_int (name ^ " frame 12 B shorter") (Bytes.length c - 12) (Bytes.length b);
+    check_bool (name ^ " frame is the checksummed body") true
+      (Bytes.sub c 12 (Bytes.length b) = b)
+  in
+  body "put" (fun t -> t.Darray.put) (key, p);
+  body "task" (fun t -> t.Darray.task) (7, [ key; key ], p);
+  check_bool "under a plan a put is the checksummed bare encoding" true
+    (Codec.to_bytes checksummed.Darray.put (key, p)
+    = Codec.to_bytes (Codec.checksummed Codec.(pair Darray.key_codec Payload.codec)) (key, p));
+  let rounds faults =
+    let s = Darray.create_session ~topology:(topo ~nodes:2 backend) ?faults ~work:sum_work () in
+    Fun.protect
+      ~finally:(fun () -> Darray.close_session s)
+      (fun () ->
+        let d = Darray.create s ~segments:(Array.init 3 (fun i -> seg_floats ~len:1_000 (float_of_int i))) in
+        let run () = Darray.run1 d ~arg:(scale_arg 2.0) ~merge:merge_sum ~init:0.0 in
+        let cold = run () in
+        let warm = run () in
+        Darray.update d 1 (seg_floats ~len:1_000 9.0);
+        [ cold; warm; run () ])
+  in
+  List.iter2
+    (fun (v, r) (vp, rp) ->
+      Alcotest.(check (float 0.0)) "same result" vp v;
+      check_int "same scatter messages" rp.Cluster.scatter_messages r.Cluster.scatter_messages;
+      check_int "same gather messages" rp.Cluster.gather_messages r.Cluster.gather_messages;
+      check_int "scatter bytes: 12 B fewer per frame" (12 * r.Cluster.scatter_messages)
+        (rp.Cluster.scatter_bytes - r.Cluster.scatter_bytes);
+      check_int "gather bytes: 12 B fewer per frame" (12 * r.Cluster.gather_messages)
+        (rp.Cluster.gather_bytes - r.Cluster.gather_bytes))
+    (rounds None) (rounds (Some plan))
+
+(* Sgemm.Resident does not depend on the envelope: multiply, update_a
+   and, under the process backend, a round that replays a SIGKILLed
+   child's segments give bit-identical results with and without a fault
+   plan, equal to run_c. *)
+let test_sgemm_envelopes_agree backend () =
+  let module R = Triolet_kernels.Sgemm.Resident in
+  let a, b = D.sgemm_matrices ~seed:43 ~m:24 ~k:10 ~n:12 in
+  let a' = Matrix.init (Matrix.rows a) (Matrix.cols a) (fun i j ->
+      if i = 0 then 0.5 +. Matrix.get a i j else Matrix.get a i j)
+  in
+  let rounds faults =
+    let ctx = Exec.make ~nodes:2 ~cores_per_node:1 ~backend ~faults () in
+    let r = R.create ~ctx a in
+    Fun.protect
+      ~finally:(fun () -> R.close r)
+      (fun () ->
+        let c1, _ = R.multiply r b in
+        let c2 =
+          if backend <> Cluster.Process then fst (R.multiply r b)
+          else
+            match Footprint.children () with
+            | [] -> Alcotest.fail "no live children"
+            | victim :: _ ->
+                (* Killed between rounds: the next round finds it dead,
+                   and replays its row block into the respawned child. *)
+                Unix.kill victim Sys.sigkill;
+                let c, rep = R.multiply r b in
+                check_bool "the round survived a crash" true (rep.Cluster.crashed_nodes >= 1);
+                c
+        in
+        let changed = R.update_a r a' in
+        let c3, _ = R.multiply r b in
+        (changed, [ c1; c2; c3 ]))
+  in
+  let changed, cs = rounds None and changed_p, cs_p = rounds (Some plan) in
+  check_int "update_a: one row block" 1 changed;
+  check_int "update_a: same with a plan" changed changed_p;
+  let want = Triolet_kernels.Sgemm.[ run_c a b; run_c a b; run_c a' b ] in
+  List.iteri
+    (fun i (w, (c, c_p)) ->
+      check_bool (Printf.sprintf "round %d = run_c" i) true
+        (Triolet_kernels.Sgemm.agrees ~eps:0.0 w c);
+      check_bool (Printf.sprintf "round %d: same with a plan" i) true
+        (Triolet_kernels.Sgemm.agrees ~eps:0.0 c c_p))
+    (List.combine want (List.combine cs cs_p))
+
+(* A round whose argument and replies are several times the socket's
+   16 KiB buffer streams through it in both directions under either
+   envelope, decodes exactly, and leaves no child, descriptor or thread
+   behind once the session closes. *)
+let test_proc_large_frames () =
+  (* The runtime's tick thread starts with the first systhread: start
+     one now, so the tick thread is part of the baseline. *)
+  Thread.join (Thread.create ignore ());
+  let before = Footprint.settled () in
+  let n = 16_384 (* 128 KiB of floats per argument and per reply *) in
+  let work ~node:_ ~resident ~arg =
+    match (resident, arg) with
+    | [ Payload.Floats r ], [ Payload.Floats x ] ->
+        let k = Float.Array.get r 0 in
+        [ Payload.Floats (Float.Array.map (fun v -> v *. k) x) ]
+    | _ -> failwith "unexpected payload"
+  in
+  let segment node = seg_floats ~len:4 (float_of_int (node + 2)) in
+  let arg node = [ Payload.Floats (Float.Array.init n (fun i -> float_of_int (i + node))) ] in
+  let want = List.init 2 (fun node -> work ~node ~resident:(segment node) ~arg:(arg node)) in
+  List.iter
+    (fun faults ->
+      let s = Darray.create_session ~topology:(topo ~nodes:2 Cluster.Process) ?faults ~work () in
+      let replies, rep =
+        Fun.protect
+          ~finally:(fun () -> Darray.close_session s)
+          (fun () ->
+            let d = Darray.create s ~segments:(Array.init 2 segment) in
+            Darray.run1 d ~arg ~merge:(fun acc r -> acc @ [ r ]) ~init:[])
+      in
+      check_bool "replies decoded exactly" true (replies = want);
+      check_bool "frames span several socket buffers" true
+        (rep.Cluster.max_message_bytes > 4 * Transport.Socket.buffer_bytes))
+    [ None; Some plan ];
+  Footprint.check "after the sessions" before
+
 (* ------------------------------------------------------------------ *)
 (* Wire codecs: qcheck roundtrip, frame decoder, corruption.           *)
 
@@ -234,51 +362,58 @@ let roundtrips c v =
   Codec.of_bytes c (Codec.to_bytes c v) = v
   && c.Codec.size v = Bytes.length (Codec.to_bytes c v)
 
+(* A session frames with one of two tables: the bare one without a
+   fault plan, the checksummed one under a plan.  Every codec property
+   holds for both. *)
+let tables = [ Darray.codecs (); checksummed ]
+let both codec v = List.for_all (fun t -> roundtrips (codec t) v) tables
+
 let prop_key_roundtrip =
   qtest "key codec roundtrips" key_gen (roundtrips Darray.key_codec)
 
 let prop_put_roundtrip =
   qtest "put codec roundtrips"
     QCheck2.Gen.(pair key_gen payload_gen)
-    (roundtrips Darray.put_codec)
+    (both (fun t -> t.Darray.put))
 
 let prop_reuse_roundtrip =
-  qtest "reuse codec roundtrips" key_gen (roundtrips Darray.reuse_codec)
+  qtest "reuse codec roundtrips" key_gen (both (fun t -> t.Darray.reuse))
 
 let prop_free_roundtrip =
   qtest "free codec roundtrips"
     QCheck2.Gen.(int_bound 10_000)
-    (roundtrips Darray.free_codec)
+    (both (fun t -> t.Darray.free))
 
 let prop_task_roundtrip =
   qtest "task codec roundtrips"
     QCheck2.Gen.(
       triple (int_bound 10_000) (list_size (int_bound 6) key_gen) payload_gen)
-    (roundtrips Darray.task_codec)
+    (both (fun t -> t.Darray.task))
 
 let prop_reply_roundtrip =
   qtest "reply codec roundtrips"
     QCheck2.Gen.(pair (int_bound 10_000) payload_gen)
-    (roundtrips Darray.reply_codec)
+    (both (fun t -> t.Darray.reply))
 
-(* Every Seg_* frame kind carries its codec's bytes through the
-   incremental frame decoder, cut at arbitrary chunk boundaries:
-   kinds and decoded values must both survive. *)
+(* Every Seg_* frame kind, in either table, carries its codec's bytes
+   through the incremental frame decoder, cut at arbitrary chunk
+   boundaries: kinds and decoded values must both survive. *)
 let seg_frame_gen =
   QCheck2.Gen.(
     list_size (1 -- 6)
-      (oneof
-         [
-           map
-             (fun (k, p) -> (Protocol.Seg_put, Codec.to_bytes Darray.put_codec (k, p)))
-             (pair key_gen payload_gen);
-           map
-             (fun k -> (Protocol.Seg_reuse, Codec.to_bytes Darray.reuse_codec k))
-             key_gen;
-           map
-             (fun did -> (Protocol.Seg_free, Codec.to_bytes Darray.free_codec did))
-             (int_bound 1000);
-         ]))
+      (bind (oneofl tables) (fun t ->
+           oneof
+             [
+               map
+                 (fun (k, p) -> (Protocol.Seg_put, Codec.to_bytes t.Darray.put (k, p)))
+                 (pair key_gen payload_gen);
+               map
+                 (fun k -> (Protocol.Seg_reuse, Codec.to_bytes t.Darray.reuse k))
+                 key_gen;
+               map
+                 (fun did -> (Protocol.Seg_free, Codec.to_bytes t.Darray.free did))
+                 (int_bound 1000);
+             ])))
 
 let prop_seg_frames_chunked =
   qtest "Seg_* frames survive chunked delivery"
@@ -320,17 +455,18 @@ let prop_seg_frames_chunked =
 
 (* The checksummed envelopes refuse corruption: any single-byte flip in
    a put frame raises a typed error instead of decoding garbage into a
-   child's segment table. *)
+   child's segment table.  That is the table of a session under a fault
+   plan, the only one whose frames anything corrupts. *)
 let prop_corrupt_put_refused =
   qtest "corrupted put frame always refused"
     QCheck2.Gen.(
       triple (pair key_gen payload_gen) (int_bound 100_000) (int_range 1 255))
     (fun (v, posseed, mask) ->
-      let bytes = Codec.to_bytes Darray.put_codec v in
+      let bytes = Codec.to_bytes checksummed.Darray.put v in
       let b = Bytes.copy bytes in
       let pos = posseed mod Bytes.length b in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
-      match Codec.of_bytes Darray.put_codec b with
+      match Codec.of_bytes checksummed.Darray.put b with
       | _ -> false
       | exception
           ( Codec.Checksum_mismatch _ | Codec.Trailing_bytes _ | Rw.Underflow
@@ -581,6 +717,12 @@ let () =
             test_proc_sgemm_first_round_parity;
           Alcotest.test_case "segments snapshot the source" `Quick
             (test_segments_snapshot_source Cluster.Process);
+          Alcotest.test_case "fault-free frames carry no CRC" `Quick
+            (test_frames_carry_no_crc Cluster.Process);
+          Alcotest.test_case "sgemm identical with and without a plan" `Quick
+            (test_sgemm_envelopes_agree Cluster.Process);
+          Alcotest.test_case "large frames stream, nothing leaks" `Quick
+            test_proc_large_frames;
         ] );
       ( "codecs",
         [
@@ -615,11 +757,15 @@ let () =
             test_free_refuses_further_use;
           Alcotest.test_case "segments snapshot the source" `Quick
             (test_segments_snapshot_source Cluster.Inprocess);
+          Alcotest.test_case "fault-free frames carry no CRC" `Quick
+            (test_frames_carry_no_crc Cluster.Inprocess);
         ] );
       ( "resident kernels",
         [
           Alcotest.test_case "sgemm exact parity + update_a" `Quick
             test_sgemm_resident_parity;
+          Alcotest.test_case "sgemm identical with and without a plan" `Quick
+            (test_sgemm_envelopes_agree Cluster.Inprocess);
           Alcotest.test_case "tpacf DR exact parity" `Quick
             test_tpacf_resident_parity;
           Alcotest.test_case "cutcp halo exchange" `Quick

@@ -18,40 +18,6 @@ let () = Pool.set_default_width 1
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* Process state from /proc, for the leak checks. *)
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-let proc_entries dir = Array.length (Sys.readdir dir)
-
-(* Children of every thread of this process, zombies included. *)
-let children () =
-  let dir = "/proc/self/task" in
-  Array.to_list (Sys.readdir dir)
-  |> List.concat_map (fun tid ->
-         match read_file (Printf.sprintf "%s/%s/children" dir tid) with
-         | s ->
-             String.split_on_char ' ' (String.trim s) |> List.filter_map int_of_string_opt
-         | exception Sys_error _ -> [])
-
-(* Child processes, open descriptors and threads of this process. *)
-let footprint () =
-  (List.length (children ()), proc_entries "/proc/self/fd", proc_entries "/proc/self/task")
-
-(* A joined thread may take a moment to leave /proc/self/task, so the
-   footprint gets up to a second to settle back to [before]. *)
-let check_footprint name before =
-  let deadline = Clock.monotonic_ns () + 1_000_000_000 in
-  let rec settle () =
-    let now = footprint () in
-    if now = before || Clock.monotonic_ns () > deadline then now
-    else (
-      Unix.sleepf 0.001;
-      settle ())
-  in
-  let c, f, t = settle () and c0, f0, t0 = before in
-  check_int (name ^ ": child processes") c0 c;
-  check_int (name ^ ": descriptors") f0 f;
-  check_int (name ^ ": threads") t0 t
-
 (* ------------------------------------------------------------------ *)
 (* Process fabric (fork-dependent: must run before any domain exists)   *)
 
@@ -186,7 +152,7 @@ let test_unresponsive_child_killed () =
     (match Unix.waitpid [ Unix.WNOHANG ] pid with
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
     | _ -> false);
-  check_bool "not among this process's children" false (List.mem pid (children ()))
+  check_bool "not among this process's children" false (List.mem pid (Footprint.children ()))
 
 (* ------------------------------------------------------------------ *)
 (* Streamed framing over a socketpair                                   *)
@@ -511,13 +477,13 @@ let test_sender_exception_reaches_caller () =
 let test_process_call_leaks_nothing () =
   let topo = { Cluster.nodes = 3; cores_per_node = 1; backend = Cluster.Process } in
   ignore (run_sum topo);
-  let before = footprint () in
+  let before = Footprint.take () in
   ignore (run_sum topo);
-  check_footprint "after a successful call" before;
+  Footprint.check "after a successful call" before;
   (match bad_range_sum () with
   | _ -> Alcotest.fail "the bad range was not reported"
   | exception Invalid_argument _ -> ());
-  check_footprint "after a failing call" before
+  Footprint.check "after a failing call" before
 
 (* ------------------------------------------------------------------ *)
 (* Backend naming.                                                     *)
